@@ -36,6 +36,7 @@ void EpsApproximation::Merge(const EpsApproximation& other) {
       CompactFrom(level);
     }
   }
+  ReseedFromContent();
 }
 
 void EpsApproximation::CompactFrom(size_t level) {
@@ -56,6 +57,8 @@ void EpsApproximation::CompactFrom(size_t level) {
 void EpsApproximation::EnsureLevel(size_t level) {
   while (levels_.size() <= level) levels_.emplace_back();
 }
+
+void EpsApproximation::ReseedFromContent() { rng_ = Rng(n_ ^ levels_.size()); }
 
 uint64_t EpsApproximation::RangeCount(const Rect& rect) const {
   uint64_t count = 0;
@@ -125,7 +128,7 @@ std::optional<EpsApproximation> EpsApproximation::DecodeFrom(
       levels > 64) {
     return std::nullopt;
   }
-  EpsApproximation summary(static_cast<int>(buffer_size), /*seed=*/n ^ levels,
+  EpsApproximation summary(static_cast<int>(buffer_size), /*seed=*/0,
                            static_cast<HalvingPolicy>(policy));
   summary.levels_.clear();
   uint64_t total_weight = 0;
@@ -148,6 +151,7 @@ std::optional<EpsApproximation> EpsApproximation::DecodeFrom(
   }
   if (total_weight != n || !reader.Exhausted()) return std::nullopt;
   summary.n_ = n;
+  summary.ReseedFromContent();
   return summary;
 }
 

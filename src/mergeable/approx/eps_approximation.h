@@ -34,7 +34,8 @@ class EpsApproximation {
   void Update(const Point2& point);
 
   // Merges `other` into this summary. Requires identical buffer sizes
-  // and halving policies.
+  // and halving policies. Ends by reseeding the halving RNG from content
+  // as DecodeFrom does, so the result is its own encode∘decode fixed point.
   void Merge(const EpsApproximation& other);
 
   // Estimated |P ∩ rect| (weighted count of stored points inside).
@@ -59,6 +60,8 @@ class EpsApproximation {
  private:
   void CompactFrom(size_t level);
   void EnsureLevel(size_t level);
+  // The one content seed DecodeFrom and Merge share.
+  void ReseedFromContent();
 
   int buffer_size_;
   HalvingPolicy policy_;

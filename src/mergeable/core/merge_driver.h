@@ -151,7 +151,7 @@ S MergeAll(std::vector<S> parts, MergeTopology topology, Rng* rng = nullptr) {
 //      identical to MergeAllWith(kBalancedTree)), so the same merges run
 //      on the same operands no matter how many threads execute them;
 //   2. all randomness is per-node, never shared: summaries with internal
-//      RNGs (MergeableQuantiles) evolve them from their own state only,
+//      RNGs (MergeableQuantiles) reseed them from content after each Merge,
 //      and merge functions that want external randomness receive a seed
 //      derived from the node's (level, index) position via MergeNodeSeed
 //      — not from a shared generator whose consumption order would

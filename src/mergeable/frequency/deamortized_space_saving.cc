@@ -618,6 +618,12 @@ uint64_t ConcurrentDeamortizedSpaceSaving::LowerEstimate(uint64_t item) const {
   return core_.LowerEstimate(item);
 }
 
+ConcurrentDeamortizedSpaceSaving::Bounds
+ConcurrentDeamortizedSpaceSaving::Bracket(uint64_t item) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return Bounds{core_.LowerEstimate(item), core_.UpperEstimate(item)};
+}
+
 uint64_t ConcurrentDeamortizedSpaceSaving::UnderSlack() const {
   std::lock_guard<std::mutex> lock(mu_);
   return core_.UnderSlack();

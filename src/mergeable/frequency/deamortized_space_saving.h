@@ -300,6 +300,15 @@ class ConcurrentDeamortizedSpaceSaving {
   uint64_t Count(uint64_t item) const;
   uint64_t UpperEstimate(uint64_t item) const;
   uint64_t LowerEstimate(uint64_t item) const;
+
+  // Both estimates under one lock: two separate calls can straddle an
+  // update and read lower > upper.
+  struct Bounds {
+    uint64_t lower = 0;
+    uint64_t upper = 0;
+  };
+  Bounds Bracket(uint64_t item) const;
+
   uint64_t UnderSlack() const;
   uint64_t n() const;
   int capacity() const;

@@ -89,6 +89,7 @@ void MergeableQuantiles::Merge(const MergeableQuantiles& other) {
       CompactFrom(level);
     }
   }
+  ReseedFromContent();
 }
 
 void MergeableQuantiles::CompactFrom(size_t level) {
@@ -124,6 +125,10 @@ void MergeableQuantiles::CompactFrom(size_t level) {
 
 void MergeableQuantiles::EnsureLevel(size_t level) {
   while (levels_.size() <= level) levels_.emplace_back();
+}
+
+void MergeableQuantiles::ReseedFromContent() {
+  rng_ = Rng(n_ ^ (compactions_ << 32));
 }
 
 uint64_t MergeableQuantiles::Rank(double x) const {
@@ -211,10 +216,8 @@ std::optional<MergeableQuantiles> MergeableQuantiles::DecodeFrom(
       !reader.GetU32(&levels) || levels == 0 || levels > 64) {
     return std::nullopt;
   }
-  // Re-seed the offset RNG deterministically from the content; see the
-  // header comment.
   MergeableQuantiles summary(
-      static_cast<int>(buffer_size), n ^ (compactions << 32),
+      static_cast<int>(buffer_size), /*seed=*/0,
       policy == 0 ? OffsetPolicy::kRandom : OffsetPolicy::kAlwaysLow);
   summary.levels_.clear();
   uint64_t total_weight = 0;
@@ -236,6 +239,7 @@ std::optional<MergeableQuantiles> MergeableQuantiles::DecodeFrom(
   if (total_weight != n || !reader.Exhausted()) return std::nullopt;
   summary.n_ = n;
   summary.compactions_ = compactions;
+  summary.ReseedFromContent();
   return summary;
 }
 

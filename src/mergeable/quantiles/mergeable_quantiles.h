@@ -78,6 +78,8 @@ class MergeableQuantiles {
   void UpdateWeighted(double value, uint64_t weight);
 
   // Merges `other` into this summary. Requires identical buffer sizes.
+  // Ends by reseeding the offset RNG from content as DecodeFrom does, so
+  // the result is already its own encode∘decode fixed point.
   void Merge(const MergeableQuantiles& other);
 
   // Estimated Rank(x) = |{ y : y <= x }|.
@@ -113,6 +115,9 @@ class MergeableQuantiles {
   void CompactFrom(size_t level);
 
   void EnsureLevel(size_t level);
+
+  // The one content seed DecodeFrom and Merge share.
+  void ReseedFromContent();
 
   int buffer_size_;
   OffsetPolicy policy_;

@@ -73,7 +73,10 @@ void ReservoirSample::Merge(const ReservoirSample& other) {
   TakeUniform(theirs, from_theirs, rng_);
   values_.insert(values_.end(), theirs.begin(), theirs.end());
   n_ = total;
+  ReseedFromContent();
 }
+
+void ReservoirSample::ReseedFromContent() { rng_ = Rng(n_ ^ values_.size()); }
 
 uint64_t ReservoirSample::Rank(double x) const {
   if (values_.empty()) return 0;
@@ -132,13 +135,14 @@ std::optional<ReservoirSample> ReservoirSample::DecodeFrom(
   // A reservoir is full whenever n >= sample_size.
   if (size != std::min<uint64_t>(sample_size, n)) return std::nullopt;
   if (size > reader.remaining() / sizeof(double)) return std::nullopt;
-  ReservoirSample sample(static_cast<int>(sample_size), /*seed=*/n ^ size);
+  ReservoirSample sample(static_cast<int>(sample_size), /*seed=*/0);
   sample.values_.resize(size);
   for (double& value : sample.values_) {
     if (!reader.GetDouble(&value)) return std::nullopt;
   }
   if (!reader.Exhausted()) return std::nullopt;
   sample.n_ = n;
+  sample.ReseedFromContent();
   return sample;
 }
 

@@ -33,7 +33,9 @@ class ReservoirSample {
   void Update(double value);
 
   // Merges `other` into this reservoir; the result is a uniform sample
-  // of the combined population. Requires identical sample sizes.
+  // of the combined population. Requires identical sample sizes. Ends by
+  // reseeding the RNG from content as DecodeFrom does, so the result is
+  // already its own encode∘decode fixed point.
   void Merge(const ReservoirSample& other);
 
   // Estimated Rank(x) = |{ y : y <= x }|, scaled from the sample.
@@ -52,6 +54,9 @@ class ReservoirSample {
   const std::vector<double>& values() const { return values_; }
 
  private:
+  // The one content seed DecodeFrom and Merge share.
+  void ReseedFromContent();
+
   int sample_size_;
   Rng rng_;
   uint64_t n_ = 0;  // Population size represented.

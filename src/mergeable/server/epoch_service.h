@@ -5,11 +5,10 @@
 // wire: collect one report per (shard, epoch), dedup retries through a
 // bounded window (aggregate/dedup.h), and on SealEpoch() merge the
 // epoch's accepted payloads into one summary that goes into the
-// SummaryStore — in ascending shard order, left-deep, with
-// CanonicalMergeInto, the exact merge the durable coordinator performs,
-// so a server-built epoch is byte-identical to a Coordinator-built one
-// over the same reports (ISSUE criterion c; the server equivalence test
-// asserts it).
+// SummaryStore — in ascending shard order, left-deep, with plain Merge,
+// the exact fold the durable coordinator performs, so a server-built
+// epoch is byte-identical to a Coordinator-built one over the same
+// reports (the server equivalence test asserts it).
 //
 // Epsilon accounting closes the loop on load shedding: SealEpoch takes
 // the offered mass (what the shards sent, shed or not) and charges
@@ -394,7 +393,7 @@ class EpochService : public FrameHandler {
   }
 
   // Seals `epoch` into the store from whatever reports arrived:
-  // ascending shard order, left-deep canonical merge — byte-identical
+  // ascending shard order, left-deep merge — byte-identical
   // to Coordinator::RunDurable over the same payloads. `offered_n` is
   // the total mass the shards tried to send (what the chaos harness
   // knows it offered); everything that did not arrive — shed, dropped,
@@ -417,9 +416,9 @@ class EpochService : public FrameHandler {
       for (auto& [shard, summary] : it->second) {
         ++result.shards_received;
         if (result.summary.has_value()) {
-          CanonicalMergeInto(*result.summary, summary);
+          result.summary->Merge(summary);
         } else {
-          result.summary = CanonicalForm(summary);
+          result.summary = std::move(summary);
         }
       }
     }

@@ -14,13 +14,12 @@
 // that serves queries fastest.
 //
 // Determinism contract: a node's value is defined purely by the epoch
-// payload bytes it covers — node = canonical(merge(left, right)), where
-// canonical(s) is the encode-then-decode fixed point (same contract as
-// the durable coordinator) — and a range result is the balanced
-// canonical merge of its covering nodes. Cold reconstruction after
-// eviction, recovery after restart (Open), batch sealing and parallel
-// query execution all therefore produce byte-identical payloads; the
-// store equivalence suite asserts this against a tree-free reference.
+// payload bytes it covers — node = merge(left, right), canonical by
+// construction (see CanonicalForm) — and a range result is the balanced
+// merge of its covering nodes. Cold reconstruction after eviction,
+// recovery after restart (Open), batch sealing and parallel query
+// execution all therefore produce byte-identical payloads; the store
+// equivalence suite asserts this against a tree-free reference.
 //
 // Storage layout: one file per node, named
 //   <prefix>/s<stream>/n<level>.<index>
@@ -85,20 +84,19 @@ S DecodeSummaryOrDie(const std::vector<uint8_t>& payload) {
 }
 
 // The encode-then-decode fixed point of `summary`. Codecs that do not
-// serialize incidental state (RNG positions) re-derive it from content,
-// so two summaries with equal canonical form evolve identically under
-// further merges — the property every deterministic-replay path here
-// relies on (see aggregate/coordinator.h, which maintains the same
-// form for crash recovery).
+// serialize incidental state (RNG positions) re-derive it from content
+// in DecodeFrom and at the end of Merge, so every decoded or merged
+// state already is its canonical form and callers merge plainly. This
+// is the reference the property tests compare against, and it
+// canonicalizes states from neither path (factory-built placeholders).
 template <WireSummary S>
 S CanonicalForm(const S& summary) {
   return DecodeSummaryOrDie<S>(EncodeSummary(summary));
 }
 
-// The merge the store uses everywhere: absorb `from`, then re-canonize.
-// Folding with this function is associative *by construction* over
-// canonical payloads, which is what makes any dyadic regrouping of the
-// same epochs byte-stable.
+// Reference merge: absorb `from`, then re-canonize. Byte-identical to
+// `into.Merge(from)` whenever `into` is decoded or merged (asserted by
+// the property tests); hot paths call Merge directly.
 template <WireSummary S>
 void CanonicalMergeInto(S& into, const S& from) {
   into.Merge(from);
@@ -425,7 +423,7 @@ class SummaryStore {
       ++stats.nodes_merged;
       S part = DecodeSummaryOrDie<S>(*NodePayload(stream, node, &stats));
       if (merged.has_value()) {
-        CanonicalMergeInto(*merged, part);
+        merged->Merge(part);
         ++stats.merges_performed;
       } else {
         merged = std::move(part);
@@ -531,7 +529,7 @@ class SummaryStore {
   }
 
   // The node's canonical payload, computed from its children: the
-  // defining equation node = canonical(merge(left, right)). Pure — no
+  // defining equation node = merge(left, right). Pure — no
   // storage writes, no counter updates — so batch sealing can run many
   // of these concurrently.
   std::vector<uint8_t> ComputeNodePayload(uint64_t stream,
@@ -543,7 +541,7 @@ class SummaryStore {
     S merged = DecodeSummaryOrDie<S>(*NodePayload(stream, left, query_stats));
     const S sibling =
         DecodeSummaryOrDie<S>(*NodePayload(stream, right, query_stats));
-    CanonicalMergeInto(merged, sibling);
+    merged.Merge(sibling);
     return EncodeSummary<S>(merged);
   }
 
@@ -613,8 +611,8 @@ class SummaryStore {
 
   // Materializes the covering nodes of [lo, hi] and folds them into one
   // canonical payload through the generic merge driver: a balanced
-  // canonical reduction, parallel across nodes when the store has
-  // threads, byte-identical for every thread count.
+  // reduction, parallel across nodes when the store has threads,
+  // byte-identical for every thread count.
   std::vector<uint8_t> MergeCover(uint64_t stream, uint64_t lo, uint64_t hi,
                                   QueryStats* stats) {
     const std::vector<DyadicNode> cover = DyadicCover(lo, hi);
@@ -625,18 +623,11 @@ class SummaryStore {
       parts.push_back(
           DecodeSummaryOrDie<S>(*NodePayload(stream, node, stats)));
     }
-    if (parts.size() == 1) return EncodeSummary<S>(parts.front());
-    std::atomic<uint64_t> merges{0};
-    const auto merge_fn = [&merges](S& into, const S& from) {
-      CanonicalMergeInto(into, from);
-      merges.fetch_add(1, std::memory_order_relaxed);
-    };
-    S merged =
+    stats->merges_performed += parts.size() - 1;
+    const S merged =
         options_.num_threads > 1
-            ? ParallelMergeAllWith(std::move(parts), pool_, merge_fn)
-            : MergeAllWith(std::move(parts), MergeTopology::kBalancedTree,
-                           merge_fn);
-    stats->merges_performed += merges.load(std::memory_order_relaxed);
+            ? ParallelMergeAll(std::move(parts), pool_)
+            : MergeAll(std::move(parts), MergeTopology::kBalancedTree);
     return EncodeSummary<S>(merged);
   }
 

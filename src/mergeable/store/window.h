@@ -6,13 +6,12 @@
 // best a cache probe) per covering node. This header keeps the recent
 // suffix of the tree resident: a SlidingWindowRing holds the last W
 // leaf payloads and every internal dyadic node that fits inside the
-// window, built from the same children with the same canonical merge
-// the store uses. A window query folds the suffix cover
-// DyadicCover(n - w, n - 1) through MergeAllWith(kBalancedTree,
-// CanonicalMergeInto) — the exact fold SummaryStore::MergeCover
-// performs — so a ring answer is byte-for-byte identical to the store
-// answering the same range (window_test asserts it against explicit
-// leaf merges as well).
+// window, built from the same children with the same merge the store
+// uses. A window query folds the suffix cover DyadicCover(n - w, n - 1)
+// through MergeAll(kBalancedTree) — the exact fold
+// SummaryStore::MergeCover performs — so a ring answer is byte-for-byte
+// identical to the store answering the same range (window_test asserts
+// it against explicit leaf merges as well).
 //
 // Error accounting is the store's own: the ring keeps the EpochMeta of
 // every resident epoch and reports AccumulateEpsilon over the covered
@@ -78,7 +77,7 @@ class SlidingWindowRing {
   // Feeds the seal of store-relative epoch `index`: the leaf payload
   // enters the level-0 ring and every dyadic node the seal completes
   // (the same carry chain the store builds) is computed from its
-  // resident children via the canonical merge. Seals must arrive in
+  // resident children via the store's merge. Seals must arrive in
   // order and contiguously; the first call fixes where the ring's
   // history starts (any earlier epoch is permanently "not covered").
   void OnSeal(uint64_t index, const S& summary, const EpochMeta& meta) {
@@ -102,7 +101,7 @@ class SlidingWindowRing {
       if (left == children.end() || right == children.end()) continue;
       S merged = DecodeSummaryOrDie<S>(left->second);
       const S sibling = DecodeSummaryOrDie<S>(right->second);
-      CanonicalMergeInto(merged, sibling);
+      merged.Merge(sibling);
       levels_[node.level][node.index] = EncodeSummary<S>(merged);
       ++nodes_built_;
     }
@@ -134,18 +133,10 @@ class SlidingWindowRing {
       parts.push_back(DecodeSummaryOrDie<S>(it->second));
     }
     outcome.nodes_merged = cover.size();
-    // The store's MergeCover fold, verbatim: a single node's payload is
-    // returned as-is, more fold through the balanced canonical
-    // reduction. Byte-identity with the store hinges on this match.
-    if (parts.size() == 1) {
-      outcome.payload = EncodeSummary<S>(parts.front());
-    } else {
-      S merged = MergeAllWith(std::move(parts), MergeTopology::kBalancedTree,
-                              [](S& into, const S& from) {
-                                CanonicalMergeInto(into, from);
-                              });
-      outcome.payload = EncodeSummary<S>(merged);
-    }
+    // The store's MergeCover fold, verbatim. Byte-identity with the
+    // store hinges on this match.
+    outcome.payload = EncodeSummary<S>(
+        MergeAll(std::move(parts), MergeTopology::kBalancedTree));
     const uint64_t base = next_index_ - metas_.size();
     outcome.eps = AccumulateEpsilon(metas_, outcome.lo - base,
                                     outcome.hi - base, epsilon_);

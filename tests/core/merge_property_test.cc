@@ -24,17 +24,36 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
+#include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "mergeable/aggregate/summary_registry.h"
+#include "mergeable/approx/eps_approximation.h"
+#include "mergeable/approx/eps_kernel.h"
+#include "mergeable/approx/point.h"
+#include "mergeable/core/merge_driver.h"
 #include "mergeable/elastic/elastic_count_min.h"
 #include "mergeable/elastic/elastic_count_sketch.h"
 #include "mergeable/frequency/deamortized_space_saving.h"
 #include "mergeable/frequency/exact_counter.h"
 #include "mergeable/frequency/misra_gries.h"
 #include "mergeable/frequency/space_saving.h"
+#include "mergeable/quantiles/gk.h"
+#include "mergeable/quantiles/mergeable_quantiles.h"
+#include "mergeable/quantiles/qdigest.h"
+#include "mergeable/quantiles/reservoir.h"
+#include "mergeable/sketch/ams.h"
+#include "mergeable/sketch/bloom.h"
+#include "mergeable/sketch/count_min.h"
+#include "mergeable/sketch/count_sketch.h"
+#include "mergeable/sketch/dyadic_count_min.h"
+#include "mergeable/sketch/kmv.h"
+#include "mergeable/store/summary_store.h"
 #include "mergeable/util/bytes.h"
 #include "mergeable/util/random.h"
 
@@ -439,6 +458,172 @@ TYPED_TEST(CounterGroupingTest, MergingAnEmptySummaryPreservesTheBracket) {
   summary.Merge(CounterForEpsilon<TypeParam>(kEpsilon));
   EXPECT_EQ(summary.n(), n_before);
   CheckBracket(summary, exact, kEpsilon);
+}
+
+// ---- Canonical by construction ----
+//
+// Every state DecodeFrom or Merge produces is the encode∘decode fixed
+// point: (a) re-encoding its decoded image gives the same bytes, and
+// (b) the state and its decoded image stay byte-identical under any
+// further Merge (either side) or Update — randomized codecs reseed from
+// content at the end of Merge exactly as DecodeFrom does. (c) follows:
+// plain-Merge folds equal the CanonicalMergeInto reference folds, which
+// is what lets the seal fold, the store and the window ring merge
+// without a codec round trip. Driven per type (DeamortizedSpaceSaving
+// included: it shares SpaceSaving's tag, so the registry cannot reach
+// it) from the registry corpus through random update, merge and resize
+// sequences.
+
+template <typename T>
+T DecodeOrDie(const std::vector<uint8_t>& bytes) {
+  ByteReader reader(bytes);
+  std::optional<T> decoded = T::DecodeFrom(reader);
+  MERGEABLE_CHECK(decoded.has_value() && reader.Exhausted());
+  return std::move(*decoded);
+}
+
+template <typename T>
+T Reencoded(const T& summary) {
+  return DecodeOrDie<T>(Encode(summary));
+}
+
+uint64_t SkewedItem(Rng& rng) {
+  return rng.UniformInt(rng.UniformInt(uint64_t{600}) + 1);
+}
+
+template <typename T>
+void RandomUpdate(T& summary, Rng& rng) {
+  if constexpr (requires { summary.Update(Point2{}); }) {
+    summary.Update(Point2{rng.UniformDouble(), rng.UniformDouble()});
+  } else if constexpr (std::is_same_v<T, GkSummary> ||
+                       std::is_same_v<T, MergeableQuantiles> ||
+                       std::is_same_v<T, ReservoirSample>) {
+    summary.Update(rng.UniformDouble());
+  } else if constexpr (requires { summary.Update(uint64_t{0}); }) {
+    summary.Update(SkewedItem(rng));
+  } else {
+    summary.Add(SkewedItem(rng));
+  }
+}
+
+// Applies a random size change where the type has one.
+template <typename T>
+void RandomResize(T& summary, Rng& rng) {
+  if constexpr (requires { summary.Resize(2); }) {
+    summary.Resize(8 + static_cast<int>(rng.UniformInt(uint64_t{33})));
+  } else if constexpr (requires { summary.Expand(2); }) {
+    const int width = summary.width();
+    if (width > 16 && rng.Bernoulli(0.5)) {
+      summary.Shrink(width / 2);
+    } else if (width < 512) {
+      summary.Expand(width * 2);
+    }
+  }
+}
+
+// (a) and (b) for one state under the contract; `y` is a merge partner.
+template <typename T>
+void CheckFixedPointState(const T& x, const T& y, uint64_t seed,
+                          const std::string& where) {
+  const T canonical = Reencoded(x);
+  ASSERT_EQ(Encode(x), Encode(canonical)) << where;
+  if constexpr (Mergeable<T>) {
+    T x_into = x;
+    T canonical_into = canonical;
+    x_into.Merge(y);
+    canonical_into.Merge(y);
+    EXPECT_EQ(Encode(x_into), Encode(canonical_into)) << where << " merge";
+    T y_from_x = y;
+    T y_from_canonical = y;
+    y_from_x.Merge(x);
+    y_from_canonical.Merge(canonical);
+    EXPECT_EQ(Encode(y_from_x), Encode(y_from_canonical))
+        << where << " merged from";
+  }
+  T x_updated = x;
+  T canonical_updated = canonical;
+  Rng x_items(seed);
+  Rng canonical_items(seed);
+  for (int i = 0; i < 400; ++i) {
+    RandomUpdate(x_updated, x_items);
+    RandomUpdate(canonical_updated, canonical_items);
+  }
+  EXPECT_EQ(Encode(x_updated), Encode(canonical_updated)) << where
+                                                          << " update";
+}
+
+template <typename T>
+void CheckCanonicalByConstruction() {
+  const SummaryCodecInfo* info = FindSummaryCodec(SummaryTraits<T>::kTag);
+  ASSERT_NE(info, nullptr);
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    const std::string name =
+        std::string(SummaryTraits<T>::kName) + " seed " + std::to_string(seed);
+    std::vector<T> pool;
+    for (const auto& bytes : info->corpus(seed)) {
+      pool.push_back(DecodeOrDie<T>(bytes));
+    }
+    Rng rng(seed * 7919);
+    for (const T& x : pool) {
+      CheckFixedPointState(x, pool[rng.UniformInt(pool.size())],
+                           rng.Next(), name + " decoded");
+    }
+    for (int step = 0; step < 30; ++step) {
+      const std::string where = name + " step " + std::to_string(step);
+      const size_t i = rng.UniformInt(pool.size());
+      const uint64_t op = rng.UniformInt(uint64_t{4});
+      if (op == 0 && pool.size() < 8) {
+        // Fork, so later folds see more, and more varied, parts.
+        pool.push_back(pool[i]);
+        for (int u = 0; u < 300; ++u) RandomUpdate(pool.back(), rng);
+      } else if (op <= 1 || !Mergeable<T>) {
+        const int updates = 1 + static_cast<int>(rng.UniformInt(600));
+        for (int u = 0; u < updates; ++u) RandomUpdate(pool[i], rng);
+        ASSERT_EQ(Encode(pool[i]), Encode(Reencoded(pool[i]))) << where;
+      } else if (op == 2) {
+        RandomResize(pool[i], rng);
+        ASSERT_EQ(Encode(pool[i]), Encode(Reencoded(pool[i]))) << where;
+      } else if constexpr (Mergeable<T>) {
+        const T y = pool[rng.UniformInt(pool.size())];
+        pool[i].Merge(y);
+        CheckFixedPointState(pool[i], pool[rng.UniformInt(pool.size())],
+                             rng.Next(), where + " merged");
+      }
+    }
+    // (c) over decoded parts, as every hot-path fold sees them.
+    if constexpr (Mergeable<T>) {
+      std::vector<T> parts;
+      for (const T& x : pool) parts.push_back(Reencoded(x));
+      for (MergeTopology topology : {MergeTopology::kLeftDeepChain,
+                                     MergeTopology::kBalancedTree}) {
+        const T plain = MergeAll(parts, topology);
+        const T reference = MergeAllWith(
+            parts, topology,
+            [](T& into, const T& from) { CanonicalMergeInto(into, from); });
+        EXPECT_EQ(Encode(plain), Encode(reference))
+            << name << " " << ToString(topology) << " fold";
+      }
+    }
+  }
+}
+
+template <typename... Ts>
+void CheckCanonicalByConstructionForEach(std::set<SummaryTag>* covered) {
+  (covered->insert(SummaryTraits<Ts>::kTag), ...);
+  (CheckCanonicalByConstruction<Ts>(), ...);
+}
+
+TEST(CoreMergePropertyTest, EveryCodecIsCanonicalByConstruction) {
+  std::set<SummaryTag> covered;
+  CheckCanonicalByConstructionForEach<
+      MisraGries, SpaceSaving, DeamortizedSpaceSaving, GkSummary,
+      MergeableQuantiles, QDigest, ReservoirSample, CountMinSketch,
+      CountSketch, AmsSketch, BloomFilter, KmvSketch, DyadicCountMin,
+      EpsApproximation, EpsKernel, ElasticCountMin, ElasticCountSketch>(
+      &covered);
+  for (const SummaryCodecInfo& info : SummaryRegistry()) {
+    EXPECT_EQ(covered.count(info.tag), 1u) << info.name << " not driven";
+  }
 }
 
 }  // namespace

@@ -51,8 +51,7 @@ TEST(ElasticConcurrentTest, ResizeRacesSingleUpdates) {
   std::thread reader([&summary, &stop] {
     while (!stop.load(std::memory_order_relaxed)) {
       // Queries must stay coherent mid-race: the bracket is internal.
-      const uint64_t upper = summary.UpperEstimate(3);
-      const uint64_t lower = summary.LowerEstimate(3);
+      const auto [lower, upper] = summary.Bracket(3);
       EXPECT_LE(lower, upper);
       std::this_thread::yield();
     }

@@ -262,6 +262,18 @@ TEST(BatchTest, SendBatchTreatsReplayedRecordsAsAccepted) {
   server.Stop();
 }
 
+// Polls `done` until it holds; false once `timeout` passes first.
+template <typename Pred>
+bool WaitUntil(Pred done,
+               std::chrono::milliseconds timeout = std::chrono::seconds(10)) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  return true;
+}
+
 // Admission is exact at batch granularity: depth limits are denominated
 // in reports, a batch that does not fit whole is shed whole (never
 // split), and a shed batch is NACKed with one whole-batch verdict whose
@@ -312,6 +324,12 @@ TEST(BatchTest, ShedBatchesAccountMassExactlyAtBatchGranularity) {
   // Batch C (3 reports): 5 + 3 == 8 — still fits; admission never
   // split B to make room, but C's exact fit is admitted.
   ASSERT_TRUE(client.SendFrame(EncodeBatchFrame(make_batch(9, 3))));
+  // C draws no verdict while the workers are paused, so wait for the
+  // loop thread to have decided it (admitted or shed) before reading.
+  ASSERT_TRUE(WaitUntil([&server] {
+    const AdmissionStats stats = server.admission_stats();
+    return stats.admitted_batches + stats.shed_batches == 3;
+  })) << "batch C never reached admission";
 
   const AdmissionStats paused = server.admission_stats();
   EXPECT_EQ(paused.admitted_reports, 8u);
