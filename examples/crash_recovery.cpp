@@ -4,11 +4,12 @@
 // network (see wire_merge for that half of the story). This example is
 // about the other failure domain — the aggregator process itself. In
 // durable mode the coordinator appends every accepted report to a
-// write-ahead log *before* merging it and checkpoints the partial merge
-// every few reports, both through a Storage backend. Here the storage
-// is rigged to tear a write halfway through the epoch, killing the run;
-// a fresh coordinator then recovers from the same storage — newest
-// valid snapshot, idempotent log-tail replay, torn-tail truncation —
+// write-ahead log *before* merging it and logs a checkpoint of the
+// partial merge every few reports, all through a Storage backend. Here
+// the storage is rigged to tear a write halfway through the epoch,
+// killing the run; a fresh coordinator then recovers from the same
+// storage — torn-tail truncation, the last intact checkpoint,
+// idempotent replay of the records after it —
 // and resumes, refetching only the shards that were never durably
 // recorded. The punchline is exactness: the recovered epoch's summary
 // is byte-identical to the summary of an uninterrupted run.
@@ -133,12 +134,12 @@ int main() {
                                      MergeTopology::kLeftDeepChain);
   const RecoveryInfo info = recovered.Recover(&storage, options);
   std::printf(
-      "recovery:           snapshot=%s(seq %llu), %llu/%llu log records "
-      "replayed,\n"
+      "recovery:           checkpoint=%s(log record %llu), %llu/%llu log "
+      "records replayed,\n"
       "                    torn tail truncated=%s, %zu shards still "
       "pending\n",
-      info.used_snapshot ? "yes" : "no",
-      static_cast<unsigned long long>(info.snapshot_seq),
+      info.used_checkpoint ? "yes" : "no",
+      static_cast<unsigned long long>(info.checkpoint_record),
       static_cast<unsigned long long>(info.wal_records_applied),
       static_cast<unsigned long long>(info.wal_records_total),
       info.torn_tail_truncated ? "yes" : "no", info.pending_shards.size());

@@ -19,14 +19,15 @@
 // The coordinator also survives *itself* (DESIGN.md §8): in durable mode
 // every accepted report is appended to a write-ahead log (wal.h) before
 // it is merged, and the partially merged summary is checkpointed
-// periodically (snapshot.h), both through a Storage backend. After a
-// crash, Recover() loads the newest valid snapshot, replays the log
-// tail idempotently — dedup by (shard, epoch) makes a record whose
-// acknowledgement died with the process merge exactly once — truncates
-// any torn tail, and ResumeDurable() refetches only the shards that
-// were never durably recorded. Durable runs merge left-deep in
-// ascending shard order, so a recovered epoch produces a summary
-// byte-identical (canonical encodings) to an uninterrupted one.
+// periodically as one more record of that log, all through a Storage
+// backend. After a crash, Recover() truncates any torn tail, restores
+// the epoch's last intact checkpoint, replays the records after it
+// idempotently — dedup by (shard, epoch) makes a record whose
+// acknowledgement died with the process merge exactly once — and
+// ResumeDurable() refetches only the shards that were never durably
+// recorded. Durable runs merge left-deep in ascending shard order, so a
+// recovered epoch produces a summary byte-identical (canonical
+// encodings) to an uninterrupted one.
 //
 // The merge itself reuses core/merge_driver.h, so the coordinator works
 // under any merge topology — the mergeability guarantee (the paper's
@@ -50,7 +51,6 @@
 #include <vector>
 
 #include "mergeable/aggregate/fault.h"
-#include "mergeable/aggregate/snapshot.h"
 #include "mergeable/aggregate/transport.h"
 #include "mergeable/aggregate/storage.h"
 #include "mergeable/aggregate/wal.h"
@@ -175,11 +175,11 @@ struct CoordinatorOptions {
   int num_threads = 1;
 };
 
-// Knobs for durable (WAL + checkpoint) runs.
+// Knobs for durable (write-ahead log) runs.
 struct DurableOptions {
   // Storage file name of the write-ahead log.
   std::string wal_file = "wal";
-  // Write a snapshot checkpoint after every this many accepted reports
+  // Append a checkpoint record after every this many accepted reports
   // (0 = log only, never checkpoint; recovery then replays the whole
   // log, which is still exact, just slower).
   uint64_t checkpoint_every = 8;
@@ -198,15 +198,15 @@ struct DurableOptions {
 // What Recover() reconstructed from storage.
 struct RecoveryInfo {
   // True when durable state for this epoch was found (an epoch-begin
-  // record or a snapshot). False means the crash predated the first
+  // or checkpoint record). False means the crash predated the first
   // durable write: nothing was lost, start the epoch from scratch.
   bool recovered = false;
   uint64_t epoch = 0;
   uint64_t n_shards = 0;
-  bool used_snapshot = false;
-  uint64_t snapshot_seq = 0;      // Sequence of the snapshot used.
-  uint64_t wal_records_total = 0; // Intact records found in the log.
-  uint64_t wal_records_applied = 0;  // Records replayed past the snapshot.
+  bool used_checkpoint = false;
+  uint64_t checkpoint_record = 0;  // Log position of the checkpoint used.
+  uint64_t wal_records_total = 0;  // Intact records found in the log.
+  uint64_t wal_records_applied = 0;  // Records replayed past the checkpoint.
   uint64_t duplicates_ignored = 0;   // Replay idempotence in action.
   uint64_t invalid_payloads = 0;     // Checksummed-but-undecodable reports
                                      // dropped (a writer bug, not a crash).
@@ -281,8 +281,8 @@ class Coordinator {
   }
 
   // Durable variant of Run: every accepted report is WAL-appended before
-  // it is merged and the partial merge is checkpointed every
-  // `options.checkpoint_every` reports, all through `storage`. If a
+  // it is merged and the partial merge is logged as a checkpoint record
+  // every `options.checkpoint_every` reports, all through `storage`. If a
   // storage write fails mid-epoch the result comes back with
   // `crashed == true`; a fresh coordinator can then Recover() from the
   // same storage and ResumeDurable() the epoch.
@@ -299,46 +299,33 @@ class Coordinator {
     return DurableLoop(transport, n_shards);
   }
 
-  // Rebuilds durable state from `storage` after a crash: restores the
-  // newest valid snapshot, replays the WAL tail past it (idempotently),
-  // and truncates a torn final record. The coordinator must be
-  // constructed for the same epoch the durable state belongs to;
-  // records of other epochs are ignored.
+  // Rebuilds durable state from `storage` after a crash: truncates a
+  // torn final record, restores the epoch's last intact checkpoint, and
+  // replays the log records after it (idempotently). The coordinator
+  // must be constructed for the same epoch the durable state belongs
+  // to; records of other epochs are ignored.
   RecoveryInfo Recover(Storage* storage, DurableOptions options = {}) {
     ResetEpochState();
     AttachStorage(storage, std::move(options));
     RecoveryInfo info;
     info.epoch = epoch_;
 
-    const SnapshotScan scan = LoadLatestSnapshot(*storage);
-    snapshot_seq_ = scan.max_seq_seen;
-    uint64_t covered = 0;
-    if (scan.found && scan.snapshot.epoch == epoch_) {
-      epoch_begun_ = true;
-      durable_n_shards_ = scan.snapshot.n_shards;
-      received_.insert(scan.snapshot.received_shards.begin(),
-                       scan.snapshot.received_shards.end());
-      lost_.insert(scan.snapshot.lost_shards.begin(),
-                   scan.snapshot.lost_shards.end());
-      if (!scan.snapshot.summary_payload.empty()) {
-        ByteReader reader(scan.snapshot.summary_payload);
-        std::optional<S> summary = S::DecodeFrom(reader);
-        // The snapshot checksum already vouched for these bytes; a
-        // decode failure here is a snapshot-writer bug.
-        MERGEABLE_CHECK_MSG(summary.has_value() && reader.Exhausted(),
-                            "checksummed snapshot payload must decode");
-        merged_ = std::move(*summary);
-      }
-      covered = scan.snapshot.wal_records;
-      info.used_snapshot = true;
-      info.snapshot_seq = scan.seq;
-    }
-
     const WalReplay replay = ReplayWal(*storage, options_.wal_file);
-    info.wal_records_total = replay.records.size();
-    uint64_t index = 0;
-    for (const WalRecord& record : replay.records) {
-      if (index++ < covered) continue;  // The snapshot already holds it.
+    const std::vector<WalRecord>& records = replay.records;
+    info.wal_records_total = records.size();
+    size_t next = 0;  // First record the checkpoint does not cover.
+    for (size_t i = records.size(); i-- > 0;) {
+      if (records[i].type == WalRecordType::kCheckpoint &&
+          records[i].epoch == epoch_) {
+        RestoreCheckpoint(records[i]);
+        info.used_checkpoint = true;
+        info.checkpoint_record = i;
+        next = i + 1;
+        break;
+      }
+    }
+    for (; next < records.size(); ++next) {
+      const WalRecord& record = records[next];
       if (record.epoch != epoch_) continue;
       ++info.wal_records_applied;
       switch (record.type) {
@@ -368,9 +355,10 @@ class Coordinator {
             lost_.insert(record.shard_id);
           }
           break;
+        case WalRecordType::kCheckpoint:
+          break;  // Only the last one is restored; none follow it.
       }
     }
-    wal_records_ = replay.records.size();
     if (replay.torn_tail) {
       // The tail bytes never formed a durable record; cut them so new
       // appends start at a clean boundary.
@@ -396,7 +384,7 @@ class Coordinator {
   // (it seeds the epoch when the crash predated the first write).
   AggregationResult<S> ResumeDurable(Transport& transport,
                                      size_t n_shards) {
-    MERGEABLE_CHECK_MSG(storage_ != nullptr,
+    MERGEABLE_CHECK_MSG(wal_.has_value(),
                         "ResumeDurable requires Recover() first");
     return DurableLoop(transport, n_shards);
   }
@@ -456,22 +444,18 @@ class Coordinator {
     lost_.clear();
     epoch_begun_ = false;
     durable_n_shards_ = 0;
-    wal_records_ = 0;
-    snapshot_seq_ = 0;
-    storage_ = nullptr;
     wal_.reset();
   }
 
   void AttachStorage(Storage* storage, DurableOptions options) {
     MERGEABLE_CHECK_MSG(storage != nullptr, "durable mode needs storage");
-    storage_ = storage;
     options_ = std::move(options);
-    wal_.emplace(storage_, options_.wal_file);
+    wal_.emplace(storage, options_.wal_file);
   }
 
   // Merges an accepted (decoded) report into the durable state. Codecs
   // keep decoded and merged states at the encode∘decode fixed point, so
-  // the in-memory state always equals its snapshot-restored image and
+  // the in-memory state always equals its checkpoint-restored image and
   // recovery is byte-exact for any crash point.
   void ApplyReport(uint64_t shard, S summary) {
     if (merged_.has_value()) {
@@ -491,24 +475,41 @@ class Coordinator {
   }
 
   bool WriteCheckpoint() {
-    Snapshot snapshot;
-    snapshot.epoch = epoch_;
-    snapshot.n_shards = durable_n_shards_;
-    snapshot.wal_records = wal_records_;
-    snapshot.received_shards.assign(received_.begin(), received_.end());
-    snapshot.lost_shards.assign(lost_.begin(), lost_.end());
+    WalRecord checkpoint;
+    checkpoint.type = WalRecordType::kCheckpoint;
+    checkpoint.shard_id = durable_n_shards_;
+    checkpoint.epoch = epoch_;
     if (merged_.has_value()) {
       ByteWriter writer;
       merged_->EncodeTo(writer);
-      snapshot.summary_payload = writer.TakeBytes();
+      checkpoint.payload = writer.TakeBytes();
     }
-    return WriteSnapshotFile(storage_, ++snapshot_seq_, snapshot);
+    checkpoint.received_shards.assign(received_.begin(), received_.end());
+    checkpoint.lost_shards.assign(lost_.begin(), lost_.end());
+    return WalAppend(std::move(checkpoint));
   }
 
-  // Appends `record` and keeps the durable-record cursor in sync.
-  // Transient append failures are retried under options_.append_retry:
-  // a record only counts as lost once the bounded schedule is
-  // exhausted, so one flaky write no longer aborts the whole epoch.
+  void RestoreCheckpoint(const WalRecord& checkpoint) {
+    epoch_begun_ = true;
+    durable_n_shards_ = checkpoint.shard_id;
+    received_.insert(checkpoint.received_shards.begin(),
+                     checkpoint.received_shards.end());
+    lost_.insert(checkpoint.lost_shards.begin(),
+                 checkpoint.lost_shards.end());
+    if (!checkpoint.payload.empty()) {
+      ByteReader reader(checkpoint.payload);
+      std::optional<S> summary = S::DecodeFrom(reader);
+      // The record checksum already vouched for these bytes; a decode
+      // failure here is a checkpoint-writer bug.
+      MERGEABLE_CHECK_MSG(summary.has_value() && reader.Exhausted(),
+                          "checksummed checkpoint payload must decode");
+      merged_ = std::move(*summary);
+    }
+  }
+
+  // Appends `record`. Transient append failures are retried under
+  // options_.append_retry: a record only counts as lost once the bounded
+  // schedule is exhausted, so one flaky write no longer aborts the epoch.
   bool WalAppend(WalRecord record) {
     const BackoffPolicy& retry = options_.append_retry;
     const uint32_t attempts = retry.max_attempts > 0 ? retry.max_attempts : 1;
@@ -517,10 +518,7 @@ class Coordinator {
         ++wal_append_retries_;
         wal_append_backoff_ms_ += retry.BackoffBefore(attempt);
       }
-      if (wal_->Append(record)) {
-        ++wal_records_;
-        return true;
-      }
+      if (wal_->Append(record)) return true;
     }
     return false;
   }
@@ -704,8 +702,7 @@ class Coordinator {
 
   // Durable-mode state (see DESIGN.md §8). received_ / lost_ double as
   // the per-epoch dedup and outcome sets; std::set keeps them in shard
-  // order, which is also the canonical snapshot encoding order.
-  Storage* storage_ = nullptr;
+  // order, which is also the canonical checkpoint encoding order.
   DurableOptions options_;
   std::optional<WalWriter> wal_;
   std::optional<S> merged_;
@@ -713,8 +710,6 @@ class Coordinator {
   std::set<uint64_t> lost_;
   bool epoch_begun_ = false;
   uint64_t durable_n_shards_ = 0;
-  uint64_t wal_records_ = 0;   // Durable records: replayed + appended.
-  uint64_t snapshot_seq_ = 0;  // Last sequence written or seen.
   uint64_t wal_append_retries_ = 0;
   uint64_t wal_append_backoff_ms_ = 0;  // Virtual backoff accumulated.
 };

@@ -1,9 +1,10 @@
 // Durable storage abstraction for the aggregation pipeline.
 //
-// The coordinator survives its own crashes by writing two kinds of
-// state through this interface: an append-only write-ahead log of
-// accepted reports (wal.h) and periodic snapshot checkpoints of the
-// partially merged summary (snapshot.h). Storage is deliberately tiny —
+// The coordinator survives its own crashes by appending its state
+// through this interface to one write-ahead log (wal.h): accepted
+// reports, lost shards, and periodic checkpoint records of the
+// partially merged summary. The summary store writes its node files
+// and segment logs through it too. Storage is deliberately tiny —
 // named byte files with append, full rewrite, truncate and read — so a
 // real backend (a local file system, a replicated log) can slot in
 // without touching the recovery logic. FileStorage (file_storage.h) is

@@ -4,27 +4,65 @@
 
 #include "mergeable/util/bytes.h"
 #include "mergeable/util/hash.h"
+#include "mergeable/util/record_frame.h"
 
 namespace mergeable {
 namespace {
 
+uint64_t WalChecksum(uint32_t, const uint8_t* body, size_t size) {
+  return HashWords(body, size, MixHash(size, /*seed=*/0x57414c31));
+}
+
 // 'W' 'A' 'L' '1' read as a little-endian u32.
-constexpr uint32_t kWalMagic = 0x314c4157;
+constexpr RecordFormat kWalFormat{0x314c4157, WalChecksum};
+
+void PutShardSet(ByteWriter& writer, const std::vector<uint64_t>& shards) {
+  writer.PutU32(static_cast<uint32_t>(shards.size()));
+  for (uint64_t shard : shards) writer.PutU64(shard);
+}
+
+// Reads a shard set, validating the declared count against the bytes
+// actually present before allocating, and requiring strictly ascending
+// ids (canonical form; also rejects duplicates).
+bool GetShardSet(ByteReader& reader, std::vector<uint64_t>* shards) {
+  uint32_t count = 0;
+  if (!reader.GetU32(&count) ||
+      reader.remaining() / sizeof(uint64_t) < count) {
+    return false;
+  }
+  shards->reserve(count);
+  for (uint32_t i = 0; i < count; ++i) {
+    uint64_t shard = 0;
+    if (!reader.GetU64(&shard)) return false;
+    if (!shards->empty() && shard <= shards->back()) return false;
+    shards->push_back(shard);
+  }
+  return true;
+}
+
+// Parses one record body; std::nullopt for an unknown type or a body
+// whose inner framing disagrees with its length.
+std::optional<WalRecord> DecodeBody(ByteReader body) {
+  uint32_t type = 0;
+  WalRecord record;
+  if (!body.GetU32(&type) ||
+      type < static_cast<uint32_t>(WalRecordType::kEpochBegin) ||
+      type > static_cast<uint32_t>(WalRecordType::kCheckpoint) ||
+      !body.GetU64(&record.shard_id) || !body.GetU64(&record.epoch) ||
+      !body.GetBytes(&record.payload)) {
+    return std::nullopt;
+  }
+  record.type = static_cast<WalRecordType>(type);
+  if (record.type == WalRecordType::kCheckpoint &&
+      (!GetShardSet(body, &record.received_shards) ||
+       !GetShardSet(body, &record.lost_shards))) {
+    return std::nullopt;
+  }
+  if (!body.Exhausted()) return std::nullopt;
+  return record;
+}
 
 }  // namespace
-
-uint64_t WalChecksum(const std::vector<uint8_t>& body) {
-  uint64_t h = MixHash(body.size(), /*seed=*/0x57414c31);
-  size_t i = 0;
-  for (; i + 8 <= body.size(); i += 8) {
-    uint64_t word = 0;
-    for (int b = 7; b >= 0; --b) word = (word << 8) | body[i + b];
-    h = MixHash(word, h);
-  }
-  uint64_t tail = 0;
-  for (size_t j = body.size(); j > i; --j) tail = (tail << 8) | body[j - 1];
-  return MixHash(tail, h);
-}
 
 std::vector<uint8_t> EncodeWalRecord(const WalRecord& record) {
   ByteWriter body;
@@ -32,13 +70,11 @@ std::vector<uint8_t> EncodeWalRecord(const WalRecord& record) {
   body.PutU64(record.shard_id);
   body.PutU64(record.epoch);
   body.PutBytes(record.payload);
-  const std::vector<uint8_t> body_bytes = body.bytes();
-
-  ByteWriter frame;
-  frame.PutU32(kWalMagic);
-  frame.PutBytes(body_bytes);
-  frame.PutU64(WalChecksum(body_bytes));
-  return frame.TakeBytes();
+  if (record.type == WalRecordType::kCheckpoint) {
+    PutShardSet(body, record.received_shards);
+    PutShardSet(body, record.lost_shards);
+  }
+  return EncodeRecordFrame(kWalFormat, body.bytes());
 }
 
 WalWriter::WalWriter(Storage* storage, std::string file)
@@ -52,56 +88,24 @@ bool WalWriter::Append(const WalRecord& record) {
   return true;
 }
 
-namespace {
-
-// Parses one record starting at the reader's position. nullopt when the
-// bytes do not form an intact record (truncated, bad magic, checksum
-// mismatch, unknown type, or inner framing that disagrees with the
-// declared body length).
-std::optional<WalRecord> DecodeOneRecord(ByteReader& reader) {
-  uint32_t magic = 0;
-  if (!reader.GetU32(&magic) || magic != kWalMagic) return std::nullopt;
-  std::vector<uint8_t> body;
-  if (!reader.GetBytes(&body)) return std::nullopt;
-  uint64_t checksum = 0;
-  if (!reader.GetU64(&checksum)) return std::nullopt;
-  if (checksum != WalChecksum(body)) return std::nullopt;
-
-  ByteReader body_reader(body);
-  uint32_t type = 0;
-  WalRecord record;
-  if (!body_reader.GetU32(&type) || !body_reader.GetU64(&record.shard_id) ||
-      !body_reader.GetU64(&record.epoch) ||
-      !body_reader.GetBytes(&record.payload) || !body_reader.Exhausted()) {
-    return std::nullopt;
-  }
-  if (type != static_cast<uint32_t>(WalRecordType::kEpochBegin) &&
-      type != static_cast<uint32_t>(WalRecordType::kReport) &&
-      type != static_cast<uint32_t>(WalRecordType::kShardLost)) {
-    return std::nullopt;
-  }
-  record.type = static_cast<WalRecordType>(type);
-  return record;
-}
-
-}  // namespace
-
 WalReplay ReplayWal(const Storage& storage, const std::string& file) {
   WalReplay replay;
   const std::optional<std::vector<uint8_t>> bytes = storage.Read(file);
   if (!bytes.has_value()) return replay;
-  ByteReader reader(*bytes);
-  while (!reader.Exhausted()) {
-    const uint64_t before = bytes->size() - reader.remaining();
-    std::optional<WalRecord> record = DecodeOneRecord(reader);
+  const RecordFrameScan scan = ScanRecordFrames(kWalFormat, *bytes);
+  for (const RecordFrame& frame : scan.frames) {
+    std::optional<WalRecord> record;
+    if (frame.intact) record = DecodeBody(frame.BodyReader());
     if (!record.has_value()) {
-      replay.valid_bytes = before;
+      // The log's valid prefix ends at its first bad record.
+      replay.valid_bytes = frame.offset;
       replay.torn_tail = true;
       return replay;
     }
     replay.records.push_back(std::move(*record));
   }
-  replay.valid_bytes = bytes->size();
+  replay.valid_bytes = scan.valid_bytes;
+  replay.torn_tail = scan.torn_tail;
   return replay;
 }
 

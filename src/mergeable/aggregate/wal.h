@@ -7,22 +7,28 @@
 // reconstructs the coordinator's durable state exactly, and dedup by
 // (shard, epoch) makes the replay idempotent: a record made durable by
 // a write whose acknowledgement was lost in a crash is merged once, not
-// twice.
+// twice. A checkpoint is one more record in the same log: the fold of
+// every report logged before it, so recovery restores the epoch's last
+// checkpoint and replays only the records after it.
 //
-// Record layout (little-endian, framed with util/bytes.h):
+// Records use the shared framing of util/record_frame.h (magic
+// 'W','A','L','1', length-prefixed body, u64 checksum). Body
+// (little-endian, util/bytes.h):
 //
-//   u32  magic        'W','A','L','1'
-//   u32  body_len     followed by body_len body bytes:
-//          u32  type         WalRecordType
-//          u64  shard_id     (kEpochBegin reuses this for n_shards)
-//          u64  epoch
-//          u32  payload_len  + payload bytes (empty except kReport)
-//   u64  checksum     over the body bytes
+//   u32  type         WalRecordType
+//   u64  shard_id     (kEpochBegin and kCheckpoint: n_shards)
+//   u64  epoch
+//   u32  payload_len  + payload bytes (a summary's canonical encoding
+//                     for kReport and kCheckpoint; else empty)
+//   kCheckpoint only:
+//   u32  count        + received shard ids, strictly ascending
+//   u32  count        + lost shard ids, strictly ascending
 //
 // A crash can tear the final record (partial append) or flip a bit in
 // it; ReplayWal returns the longest valid record prefix and flags the
 // torn tail so recovery can truncate it. Everything before the tear is
-// checksummed and therefore trustworthy.
+// checksummed and therefore trustworthy. A torn checkpoint is no
+// different: recovery falls back to the checkpoint before it.
 
 #ifndef MERGEABLE_AGGREGATE_WAL_H_
 #define MERGEABLE_AGGREGATE_WAL_H_
@@ -43,6 +49,10 @@ enum class WalRecordType : uint32_t {
   kReport = 2,
   // The shard exhausted its retry budget; recovery must not retry it.
   kShardLost = 3,
+  // The epoch's durable state so far: shard_id carries n_shards,
+  // payload the merge of the received shards' reports (empty when none
+  // merged yet), plus the received and lost shard sets.
+  kCheckpoint = 4,
 };
 
 struct WalRecord {
@@ -50,11 +60,10 @@ struct WalRecord {
   uint64_t shard_id = 0;
   uint64_t epoch = 0;
   std::vector<uint8_t> payload;
+  // kCheckpoint only; sorted.
+  std::vector<uint64_t> received_shards;
+  std::vector<uint64_t> lost_shards;
 };
-
-// Checksum over a record body (same corruption-not-forgery trust model
-// as the wire frame checksum).
-uint64_t WalChecksum(const std::vector<uint8_t>& body);
 
 // Serializes one record (exposed for tests; WalWriter appends these).
 std::vector<uint8_t> EncodeWalRecord(const WalRecord& record);
@@ -91,7 +100,7 @@ struct WalReplay {
 };
 
 // Scans the named log file, stopping at the first record that fails to
-// frame or checksum. A missing file is an empty, untorn log.
+// frame, checksum or parse. A missing file is an empty, untorn log.
 WalReplay ReplayWal(const Storage& storage, const std::string& file);
 
 }  // namespace mergeable

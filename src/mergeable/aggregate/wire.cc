@@ -5,6 +5,7 @@
 #include "mergeable/util/check.h"
 #include "mergeable/util/hash.h"
 #include "mergeable/util/random.h"
+#include "mergeable/util/record_frame.h"
 
 namespace mergeable {
 namespace {
@@ -26,32 +27,22 @@ constexpr uint32_t kAnswerMagic = 0x31534e41;
 // 'T' 'O' 'P' '1' read as a little-endian u32.
 constexpr uint32_t kTopologyMagic = 0x31504f54;
 
-// Seals a type-specific body into the uniform control-frame layout:
-// magic, length-prefixed body, checksum over (magic, body_len, body).
-std::vector<uint8_t> SealFrame(uint32_t magic, ByteWriter body) {
-  std::vector<uint8_t> body_bytes = body.TakeBytes();
-  ByteWriter writer;
-  writer.PutU32(magic);
-  writer.PutBytes(body_bytes);
-  writer.PutU64(FrameChecksum(magic, body_bytes.size(), body_bytes));
-  return writer.TakeBytes();
+// The uniform control-frame layout is the shared record framing
+// (util/record_frame.h) with a checksum over (magic, body_len, body).
+uint64_t ControlFrameChecksum(uint32_t magic, const uint8_t* body,
+                              size_t size) {
+  return FrameChecksum(magic, size, body, size);
 }
 
-// Opens a sealed frame: checks magic, length, trailing bytes and
-// checksum; returns the body bytes. std::nullopt on any mismatch.
-std::optional<std::vector<uint8_t>> OpenFrame(
-    uint32_t magic, const std::vector<uint8_t>& frame) {
-  ByteReader reader(frame);
-  uint32_t seen = 0;
-  if (!reader.GetU32(&seen) || seen != magic) return std::nullopt;
-  std::vector<uint8_t> body;
-  if (!reader.GetBytes(&body)) return std::nullopt;
-  uint64_t checksum = 0;
-  if (!reader.GetU64(&checksum) || !reader.Exhausted()) return std::nullopt;
-  if (checksum != FrameChecksum(magic, body.size(), body)) {
-    return std::nullopt;
-  }
-  return body;
+std::vector<uint8_t> SealFrame(uint32_t magic, const ByteWriter& body) {
+  return EncodeRecordFrame({magic, ControlFrameChecksum}, body.bytes());
+}
+
+// Opens a sealed frame in place: checks magic, length, trailing bytes
+// and checksum. std::nullopt on any mismatch.
+std::optional<RecordFrame> OpenFrame(uint32_t magic,
+                                     const std::vector<uint8_t>& frame) {
+  return OpenRecordFrame({magic, ControlFrameChecksum}, frame);
 }
 
 bool IsControlCode(uint32_t raw) {
@@ -71,18 +62,7 @@ uint64_t FrameChecksum(uint64_t shard_id, uint64_t epoch,
                        const uint8_t* payload, size_t size) {
   uint64_t h = MixHash(shard_id, /*seed=*/0x52505431);
   h = MixHash(epoch, h);
-  h = MixHash(size, h);
-  size_t i = 0;
-  for (; i + 8 <= size; i += 8) {
-    uint64_t word = 0;
-    for (int b = 7; b >= 0; --b) word = (word << 8) | payload[i + b];
-    h = MixHash(word, h);
-  }
-  uint64_t tail = 0;
-  for (size_t j = size; j > i; --j) {
-    tail = (tail << 8) | payload[j - 1];
-  }
-  return MixHash(tail, h);
+  return HashWords(payload, size, MixHash(size, h));
 }
 
 uint64_t FrameChecksum(uint64_t shard_id, uint64_t epoch,
@@ -125,14 +105,14 @@ std::vector<uint8_t> EncodeControlFrame(const WireControl& control) {
   body.PutU64(control.shard_id);
   body.PutU64(control.epoch);
   body.PutU64(control.retry_after_ms);
-  return SealFrame(kControlMagic, std::move(body));
+  return SealFrame(kControlMagic, body);
 }
 
 std::optional<WireControl> DecodeControlFrame(
     const std::vector<uint8_t>& frame) {
-  std::optional<std::vector<uint8_t>> body = OpenFrame(kControlMagic, frame);
+  const std::optional<RecordFrame> body = OpenFrame(kControlMagic, frame);
   if (!body.has_value()) return std::nullopt;
-  ByteReader reader(*body);
+  ByteReader reader = body->BodyReader();
   uint32_t code = 0;
   WireControl control;
   if (!reader.GetU32(&code) || !IsControlCode(code)) return std::nullopt;
@@ -159,21 +139,21 @@ std::vector<uint8_t> EncodeBatchFrame(const WireBatch& batch) {
     body.PutU64(report.epoch);
     body.PutBytes(report.payload);
   }
-  return SealFrame(kBatchMagic, std::move(body));
+  return SealFrame(kBatchMagic, body);
 }
 
 std::optional<WireBatch> DecodeBatchFrame(
     const std::vector<uint8_t>& frame) {
-  std::optional<std::vector<uint8_t>> body = OpenFrame(kBatchMagic, frame);
+  const std::optional<RecordFrame> body = OpenFrame(kBatchMagic, frame);
   if (!body.has_value()) return std::nullopt;
-  ByteReader reader(*body);
+  ByteReader reader = body->BodyReader();
   uint32_t count = 0;
   if (!reader.GetU32(&count)) return std::nullopt;
   if (count > kMaxBatchReports) return std::nullopt;
   // Allocation-bomb hardening: the body must physically be able to hold
   // `count` records before a vector of that size is reserved.
   if (static_cast<size_t>(count) * kMinBatchRecordBytes >
-      body->size() - 4) {
+      body->body_size - 4) {
     return std::nullopt;
   }
   WireBatch batch;
@@ -193,23 +173,10 @@ std::optional<WireBatch> DecodeBatchFrame(
 bool ViewBatchFrame(const std::vector<uint8_t>& frame,
                     std::vector<BatchRecordView>* records) {
   records->clear();
-  // Envelope: u32 magic, u32 body_len, body bytes, u64 checksum — the
-  // same validation OpenFrame performs, without copying the body out.
-  if (frame.size() < 16) return false;
-  ByteReader header(frame.data(), 8);
-  uint32_t magic = 0;
-  uint32_t body_len = 0;
-  header.GetU32(&magic);
-  header.GetU32(&body_len);
-  if (magic != kBatchMagic) return false;
-  if (frame.size() - 16 != body_len) return false;
-  const uint8_t* body = frame.data() + 8;
-  ByteReader trailer(body + body_len, 8);
-  uint64_t checksum = 0;
-  trailer.GetU64(&checksum);
-  if (checksum != FrameChecksum(kBatchMagic, body_len, body, body_len)) {
-    return false;
-  }
+  const std::optional<RecordFrame> sealed = OpenFrame(kBatchMagic, frame);
+  if (!sealed.has_value()) return false;
+  const uint8_t* body = sealed->body;
+  const size_t body_len = sealed->body_size;
 
   ByteReader reader(body, body_len);
   uint32_t count = 0;
@@ -281,15 +248,14 @@ std::vector<uint8_t> EncodeBatchVerdictFrame(
   for (ControlCode code : verdict.codes) {
     body.PutU32(static_cast<uint32_t>(code));
   }
-  return SealFrame(kBatchVerdictMagic, std::move(body));
+  return SealFrame(kBatchVerdictMagic, body);
 }
 
 std::optional<WireBatchVerdict> DecodeBatchVerdictFrame(
     const std::vector<uint8_t>& frame) {
-  std::optional<std::vector<uint8_t>> body =
-      OpenFrame(kBatchVerdictMagic, frame);
+  const std::optional<RecordFrame> body = OpenFrame(kBatchVerdictMagic, frame);
   if (!body.has_value()) return std::nullopt;
-  ByteReader reader(*body);
+  ByteReader reader = body->BodyReader();
   WireBatchVerdict verdict;
   uint32_t batch_code = 0;
   uint32_t count = 0;
@@ -304,7 +270,7 @@ std::optional<WireBatchVerdict> DecodeBatchVerdictFrame(
   if (verdict.batch_code != ControlCode::kAccepted && count != 0) {
     return std::nullopt;
   }
-  if (static_cast<size_t>(count) * 4 > body->size() - 16) {
+  if (static_cast<size_t>(count) * 4 > body->body_size - 16) {
     return std::nullopt;
   }
   verdict.codes.reserve(count);
@@ -324,13 +290,13 @@ std::vector<uint8_t> EncodeQueryFrame(const WireQuery& query) {
   body.PutU64(query.t2);
   body.PutU64(query.deadline_ms);
   body.PutU64(query.window);
-  return SealFrame(kQueryMagic, std::move(body));
+  return SealFrame(kQueryMagic, body);
 }
 
 std::optional<WireQuery> DecodeQueryFrame(const std::vector<uint8_t>& frame) {
-  std::optional<std::vector<uint8_t>> body = OpenFrame(kQueryMagic, frame);
+  const std::optional<RecordFrame> body = OpenFrame(kQueryMagic, frame);
   if (!body.has_value()) return std::nullopt;
-  ByteReader reader(*body);
+  ByteReader reader = body->BodyReader();
   WireQuery query;
   if (!reader.GetU64(&query.stream) || !reader.GetU64(&query.t1) ||
       !reader.GetU64(&query.t2) || !reader.GetU64(&query.deadline_ms) ||
@@ -361,14 +327,14 @@ std::vector<uint8_t> EncodeAnswerFrame(const WireAnswer& answer) {
   body.PutDouble(answer.received_bound);
   body.PutDouble(answer.full_stream_bound);
   body.PutBytes(answer.payload);
-  return SealFrame(kAnswerMagic, std::move(body));
+  return SealFrame(kAnswerMagic, body);
 }
 
 std::optional<WireAnswer> DecodeAnswerFrame(
     const std::vector<uint8_t>& frame) {
-  std::optional<std::vector<uint8_t>> body = OpenFrame(kAnswerMagic, frame);
+  const std::optional<RecordFrame> body = OpenFrame(kAnswerMagic, frame);
   if (!body.has_value()) return std::nullopt;
-  ByteReader reader(*body);
+  ByteReader reader = body->BodyReader();
   WireAnswer answer;
   uint32_t status = 0;
   uint32_t partial = 0;
@@ -415,14 +381,14 @@ std::vector<uint8_t> EncodeTopologyFrame(const WireTopology& topology) {
     body.PutU64(op.child_a);
     body.PutU64(op.child_b);
   }
-  return SealFrame(kTopologyMagic, std::move(body));
+  return SealFrame(kTopologyMagic, body);
 }
 
 std::optional<WireTopology> DecodeTopologyFrame(
     const std::vector<uint8_t>& frame) {
-  std::optional<std::vector<uint8_t>> body = OpenFrame(kTopologyMagic, frame);
+  const std::optional<RecordFrame> body = OpenFrame(kTopologyMagic, frame);
   if (!body.has_value()) return std::nullopt;
-  ByteReader reader(*body);
+  ByteReader reader = body->BodyReader();
   WireTopology topology;
   uint32_t count = 0;
   if (!reader.GetU64(&topology.effective_epoch) ||

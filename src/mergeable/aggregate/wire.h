@@ -67,8 +67,9 @@ std::optional<WireReport> DecodeReportFrame(const std::vector<uint8_t>& frame);
 // ---- Server control / query frames ----
 //
 // The socket ingest service (server/) speaks three more frame types on
-// top of the report frame. All three follow one layout so corruption
-// handling is uniform:
+// top of the report frame. All three follow one layout — the shared
+// record framing of util/record_frame.h — so corruption handling is
+// uniform:
 //
 //   u32  magic        four ASCII bytes naming the type
 //   u32  body_len     followed by body_len bytes of type-specific body

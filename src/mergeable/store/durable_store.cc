@@ -25,10 +25,21 @@ std::string DurableLog::SegmentFileName(uint64_t segment) const {
   return seg_dir_ + "/" + buf;
 }
 
-std::string DurableLog::NodeFileName(uint64_t stream, uint32_t level,
-                                     uint64_t index) const {
-  return store_prefix_ + "/s" + std::to_string(stream) + "/n" +
-         std::to_string(level) + "." + std::to_string(index);
+std::optional<uint64_t> DurableLog::ParseSegmentFileName(
+    const std::string& file) const {
+  const std::string lead = seg_dir_ + "/";
+  if (file.size() <= lead.size() || file.compare(0, lead.size(), lead) != 0) {
+    return std::nullopt;
+  }
+  uint64_t segment = 0;
+  for (size_t i = lead.size(); i < file.size(); ++i) {
+    if (file[i] < '0' || file[i] > '9') return std::nullopt;
+    segment = segment * 10 + static_cast<uint64_t>(file[i] - '0');
+  }
+  // Digits only is not enough: "0" or a 9-digit "000000000" is not a
+  // name this log writes.
+  if (SegmentFileName(segment) != file) return std::nullopt;
+  return segment;
 }
 
 std::vector<uint64_t> DurableLog::Load(OpenReport* report) {
@@ -42,16 +53,10 @@ std::vector<uint64_t> DurableLog::Load(OpenReport* report) {
   // Latest record wins per (stream, level, index): a scrub repair is a
   // re-append, so later copies supersede rotted earlier ones.
   std::map<RecordKey, std::vector<uint8_t>> payloads;
-  const std::string lead = seg_dir_ + "/";
   bool saw_segment = false;
   for (const std::string& file : durable_->List()) {
-    if (file.compare(0, lead.size(), lead) != 0) continue;
-    uint64_t segment = 0;
-    try {
-      segment = std::stoull(file.substr(lead.size()));
-    } catch (...) {
-      continue;  // Not one of ours.
-    }
+    const std::optional<uint64_t> segment = ParseSegmentFileName(file);
+    if (!segment.has_value()) continue;  // Not one of ours.
     const std::optional<std::vector<uint8_t>> bytes = durable_->Read(file);
     if (!bytes.has_value()) continue;
     ++report->segments;
@@ -71,9 +76,9 @@ std::vector<uint64_t> DurableLog::Load(OpenReport* report) {
           RecordLocation{file, entry.offset, entry.length};
       payloads[key] = std::move(entry.record.payload);
     }
-    if (!saw_segment || segment >= current_segment_) {
+    if (!saw_segment || *segment >= current_segment_) {
       saw_segment = true;
-      current_segment_ = segment;
+      current_segment_ = *segment;
       current_size_ = scan.valid_bytes;
     }
   }
@@ -82,7 +87,7 @@ std::vector<uint64_t> DurableLog::Load(OpenReport* report) {
   std::vector<uint64_t> streams;
   for (auto& [key, payload] : payloads) {
     const auto& [stream, level, index] = key;
-    warm_.Rewrite(NodeFileName(stream, level, index), payload);
+    warm_.Rewrite(NodeFileName(store_prefix_, stream, level, index), payload);
     if (level == 0 && (streams.empty() || streams.back() != stream)) {
       streams.push_back(stream);
     }
@@ -116,7 +121,7 @@ bool DurableLog::AppendRecord(uint64_t stream, uint32_t level, uint64_t index,
 bool DurableLog::AppendNodeFromWarm(uint64_t stream, uint32_t level,
                                     uint64_t index) {
   const std::optional<std::vector<uint8_t>> payload =
-      warm_.Read(NodeFileName(stream, level, index));
+      warm_.Read(NodeFileName(store_prefix_, stream, level, index));
   std::lock_guard<std::mutex> lock(mu_);
   if (!payload.has_value() ||
       !AppendRecordLocked(stream, level, index, *payload)) {
@@ -169,7 +174,7 @@ uint64_t DurableLog::ScrubPassLocked(uint64_t max_records) {
       // reads an intact record (latest wins); if even that fails, drop
       // the record — a restart rebuilds internal nodes from children.
       const std::optional<std::vector<uint8_t>> payload =
-          warm_.Read(NodeFileName(stream, level, index));
+          warm_.Read(NodeFileName(store_prefix_, stream, level, index));
       if (payload.has_value() &&
           AppendRecordLocked(stream, level, index, *payload)) {
         ++scrub_stats_.nodes_repaired;
@@ -227,11 +232,6 @@ void DurableLog::StopScrubber() {
   scrubber_running_ = false;
 }
 
-bool DurableLog::scrubber_running() const {
-  std::lock_guard<std::mutex> lock(thread_mu_);
-  return scrubber_running_;
-}
-
 std::optional<uint64_t> DurableLog::FirstQuarantinedIn(
     uint64_t stream, uint64_t lo_index, uint64_t hi_index) const {
   std::lock_guard<std::mutex> lock(mu_);
@@ -257,11 +257,6 @@ ScrubStats DurableLog::scrub_stats() const {
 uint64_t DurableLog::node_append_failures() const {
   std::lock_guard<std::mutex> lock(mu_);
   return node_append_failures_;
-}
-
-uint64_t DurableLog::manifest_records() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return manifest_.size();
 }
 
 }  // namespace mergeable

@@ -134,7 +134,6 @@ class DurableLog {
 
   void StartScrubber();
   void StopScrubber();
-  bool scrubber_running() const;
 
   // First quarantined leaf index within [lo_index, hi_index], if any.
   std::optional<uint64_t> FirstQuarantinedIn(uint64_t stream,
@@ -144,12 +143,6 @@ class DurableLog {
 
   ScrubStats scrub_stats() const;
   uint64_t node_append_failures() const;
-  uint64_t manifest_records() const;
-
-  // The warm tier file name a (stream, level, index) record maps to —
-  // the exact layout SummaryStore expects.
-  std::string NodeFileName(uint64_t stream, uint32_t level,
-                           uint64_t index) const;
 
  private:
   using RecordKey = std::tuple<uint64_t, uint32_t, uint64_t>;
@@ -160,6 +153,10 @@ class DurableLog {
   };
 
   std::string SegmentFileName(uint64_t segment) const;
+  // The segment number of a file SegmentFileName wrote; std::nullopt for
+  // any other file (a stray copy is never loaded, truncated or
+  // appended to).
+  std::optional<uint64_t> ParseSegmentFileName(const std::string& file) const;
   bool AppendRecordLocked(uint64_t stream, uint32_t level, uint64_t index,
                           const std::vector<uint8_t>& payload);
   uint64_t ScrubPassLocked(uint64_t max_records);
@@ -228,10 +225,9 @@ class DurableStore {
   bool Seal(uint64_t stream, const S& summary, EpochMeta meta) {
     const uint64_t index =
         inner_.HasStream(stream) ? inner_.EpochCount(stream) : 0;
-    const std::vector<uint8_t> tagged = EncodeTaggedPayload(
-        SummaryTraits<S>::kTag, EncodeSummary(summary));
-    const std::vector<uint8_t> record = EncodeEpochRecord(meta, tagged);
-    if (!log_.AppendRecord(stream, 0, index, record)) return false;
+    if (!log_.AppendRecord(stream, 0, index, EncodeLeafRecord(summary, meta))) {
+      return false;
+    }
     if (!inner_.Seal(stream, summary, meta)) return false;
     for (const DyadicNode& node : NodesCompletedBySeal(index)) {
       log_.AppendNodeFromWarm(stream, node.level, node.index);
@@ -245,17 +241,9 @@ class DurableStore {
                   const AggregationResult<S>& result,
                   uint64_t expected_total_n = 0) {
     if (!result.summary.has_value() || result.crashed) return false;
-    EpochMeta meta;
-    meta.epoch = epoch;
-    meta.n = SummaryMass(*result.summary);
-    meta.shards_total = result.shards_total;
-    meta.shards_received = result.shards_received;
-    const ErrorAccounting accounting = AccountErrors(
-        options_.store.epsilon, result.shards_total, result.shards_received,
-        meta.n, expected_total_n);
-    meta.lost_mass = accounting.lost_mass;
-    meta.lost_mass_estimated = accounting.lost_mass_estimated;
-    return Seal(stream, *result.summary, meta);
+    return Seal(stream, *result.summary,
+                ResultEpochMeta(epoch, result, options_.store.epsilon,
+                                expected_total_n));
   }
 
   // Range queries, quarantine-aware: a quarantined epoch q inside
@@ -322,18 +310,8 @@ class DurableStore {
   uint64_t node_append_failures() const {
     return log_.node_append_failures();
   }
-  DurableLog& log() { return log_; }
-  SummaryStore<S>& serving() { return inner_; }
 
  private:
-  static uint64_t SummaryMass(const S& summary) {
-    if constexpr (requires { summary.n(); }) {
-      return summary.n();
-    } else {
-      return 0;
-    }
-  }
-
   DurableStoreOptions options_;
   DurableLog log_;
   SummaryStore<S> inner_;

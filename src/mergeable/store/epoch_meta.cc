@@ -3,12 +3,24 @@
 #include "mergeable/aggregate/wire.h"
 #include "mergeable/util/bytes.h"
 #include "mergeable/util/check.h"
+#include "mergeable/util/record_frame.h"
 
 namespace mergeable {
 namespace {
 
+// FrameChecksum seeded with the record's own epoch and n, the body's
+// first two words (a body too short to hold them fails to parse anyway).
+uint64_t EpochRecordChecksum(uint32_t, const uint8_t* body, size_t size) {
+  ByteReader reader(body, size);
+  uint64_t epoch = 0;
+  uint64_t n = 0;
+  reader.GetU64(&epoch);
+  reader.GetU64(&n);
+  return FrameChecksum(epoch, n, body, size);
+}
+
 // 'E' 'P' 'H' '1' read as a little-endian u32.
-constexpr uint32_t kEpochRecordMagic = 0x31485045;
+constexpr RecordFormat kEpochRecordFormat{0x31485045, EpochRecordChecksum};
 
 }  // namespace
 
@@ -88,28 +100,16 @@ std::vector<uint8_t> EncodeEpochRecord(const EpochMeta& meta,
   body.PutU64(meta.lost_mass);
   body.PutU32(meta.lost_mass_estimated ? 1 : 0);
   body.PutBytes(payload);
-
-  ByteWriter writer;
-  writer.PutU32(kEpochRecordMagic);
-  writer.PutBytes(body.bytes());
-  writer.PutU64(FrameChecksum(meta.epoch, meta.n, body.bytes()));
-  return writer.TakeBytes();
+  return EncodeRecordFrame(kEpochRecordFormat, body.bytes());
 }
 
 std::optional<EpochRecord> DecodeEpochRecord(
     const std::vector<uint8_t>& bytes) {
-  ByteReader reader(bytes);
-  uint32_t magic = 0;
-  if (!reader.GetU32(&magic) || magic != kEpochRecordMagic) {
-    return std::nullopt;
-  }
-  std::vector<uint8_t> body;
-  if (!reader.GetBytes(&body)) return std::nullopt;
-  uint64_t checksum = 0;
-  if (!reader.GetU64(&checksum) || !reader.Exhausted()) return std::nullopt;
-
+  const std::optional<RecordFrame> frame =
+      OpenRecordFrame(kEpochRecordFormat, bytes);
+  if (!frame.has_value()) return std::nullopt;
   EpochRecord record;
-  ByteReader body_reader(body);
+  ByteReader body_reader = frame->BodyReader();
   uint32_t estimated = 0;
   if (!body_reader.GetU64(&record.meta.epoch) ||
       !body_reader.GetU64(&record.meta.n) ||
@@ -123,9 +123,6 @@ std::optional<EpochRecord> DecodeEpochRecord(
   record.meta.lost_mass_estimated = estimated == 1;
   if (record.meta.shards_received > record.meta.shards_total &&
       record.meta.shards_total != 0) {
-    return std::nullopt;
-  }
-  if (checksum != FrameChecksum(record.meta.epoch, record.meta.n, body)) {
     return std::nullopt;
   }
   return record;

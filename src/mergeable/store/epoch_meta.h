@@ -11,7 +11,8 @@
 // shard in a degraded epoch may hide up to its whole weight, widening
 // the full-stream bound additively by the accumulated lost mass.
 //
-// Epoch record layout (little-endian, framed with util/bytes.h):
+// Epoch record layout (little-endian, the shared framing of
+// util/record_frame.h):
 //
 //   u32  magic       'E','P','H','1'
 //   u32  body_len    followed by the body:
@@ -22,7 +23,7 @@
 //          u64 lost_mass
 //          u32 lost_mass_estimated (0 or 1)
 //          u32 payload_len + payload   tagged summary payload (wire.h)
-//   u64  checksum    FrameChecksum(epoch, n, body-payload) over the body
+//   u64  checksum    FrameChecksum(epoch, n, body)
 
 #ifndef MERGEABLE_STORE_EPOCH_META_H_
 #define MERGEABLE_STORE_EPOCH_META_H_

@@ -2,74 +2,31 @@
 
 #include "mergeable/util/bytes.h"
 #include "mergeable/util/hash.h"
+#include "mergeable/util/record_frame.h"
 
 namespace mergeable {
 namespace {
 
+uint64_t SegmentChecksum(uint32_t, const uint8_t* body, size_t size) {
+  return HashWords(body, size, MixHash(size, /*seed=*/0x53454731));
+}
+
 // 'S' 'E' 'G' '1' read as a little-endian u32.
-constexpr uint32_t kSegmentMagic = 0x31474553;
+constexpr RecordFormat kSegmentFormat{0x31474553, SegmentChecksum};
 
-// One frame's fixed overhead: magic + body length prefix + checksum.
-constexpr uint64_t kFrameOverhead = 4 + 4 + 8;
-
-}  // namespace
-
-uint64_t SegmentChecksum(const std::vector<uint8_t>& body) {
-  uint64_t h = MixHash(body.size(), /*seed=*/0x53454731);
-  size_t i = 0;
-  for (; i + 8 <= body.size(); i += 8) {
-    uint64_t word = 0;
-    for (int b = 7; b >= 0; --b) word = (word << 8) | body[i + b];
-    h = MixHash(word, h);
-  }
-  uint64_t tail = 0;
-  for (size_t j = body.size(); j > i; --j) tail = (tail << 8) | body[j - 1];
-  return MixHash(tail, h);
-}
-
-std::vector<uint8_t> EncodeSegmentRecord(const SegmentRecord& record) {
-  ByteWriter body;
-  body.PutU64(record.stream);
-  body.PutU32(record.level);
-  body.PutU64(record.index);
-  body.PutBytes(record.payload);
-  const std::vector<uint8_t> body_bytes = body.bytes();
-
-  ByteWriter frame;
-  frame.PutU32(kSegmentMagic);
-  frame.PutBytes(body_bytes);
-  frame.PutU64(SegmentChecksum(body_bytes));
-  return frame.TakeBytes();
-}
-
-namespace {
-
-// Parses one frame starting at `offset`. Returns the entry (intact or
-// checksum-corrupt) and advances *offset past it; std::nullopt when the
-// bytes do not even frame a record (torn tail or untracked garbage).
-std::optional<SegmentEntry> ParseFrame(const std::vector<uint8_t>& bytes,
-                                       uint64_t* offset) {
-  ByteReader reader(bytes.data() + *offset, bytes.size() - *offset);
-  uint32_t magic = 0;
-  if (!reader.GetU32(&magic) || magic != kSegmentMagic) return std::nullopt;
-  std::vector<uint8_t> body;
-  if (!reader.GetBytes(&body)) return std::nullopt;
-  uint64_t checksum = 0;
-  if (!reader.GetU64(&checksum)) return std::nullopt;
-
+// The entry for one frame: intact only when the checksum holds *and*
+// the body parses (a checksummed but malformed body counts as corrupt).
+SegmentEntry EntryFor(const RecordFrame& frame) {
   SegmentEntry entry;
-  entry.offset = *offset;
-  entry.length = kFrameOverhead + body.size();
-  *offset += entry.length;
-  if (checksum != SegmentChecksum(body)) return entry;  // Not intact.
-
-  ByteReader body_reader(body);
+  entry.offset = frame.offset;
+  entry.length = frame.length;
+  if (!frame.intact) return entry;
+  ByteReader body = frame.BodyReader();
   SegmentRecord record;
-  if (!body_reader.GetU64(&record.stream) ||
-      !body_reader.GetU32(&record.level) ||
-      !body_reader.GetU64(&record.index) ||
-      !body_reader.GetBytes(&record.payload) || !body_reader.Exhausted()) {
-    return entry;  // Checksummed but malformed: treat as corrupt.
+  if (!body.GetU64(&record.stream) || !body.GetU32(&record.level) ||
+      !body.GetU64(&record.index) || !body.GetBytes(&record.payload) ||
+      !body.Exhausted()) {
+    return entry;
   }
   entry.intact = true;
   entry.record = std::move(record);
@@ -78,31 +35,33 @@ std::optional<SegmentEntry> ParseFrame(const std::vector<uint8_t>& bytes,
 
 }  // namespace
 
+std::vector<uint8_t> EncodeSegmentRecord(const SegmentRecord& record) {
+  ByteWriter body;
+  body.PutU64(record.stream);
+  body.PutU32(record.level);
+  body.PutU64(record.index);
+  body.PutBytes(record.payload);
+  return EncodeRecordFrame(kSegmentFormat, body.bytes());
+}
+
 SegmentScan ScanSegment(const std::vector<uint8_t>& bytes) {
+  const RecordFrameScan frames = ScanRecordFrames(kSegmentFormat, bytes);
   SegmentScan scan;
-  uint64_t offset = 0;
-  while (offset < bytes.size()) {
-    std::optional<SegmentEntry> entry = ParseFrame(bytes, &offset);
-    if (!entry.has_value()) {
-      scan.torn_tail = true;
-      break;
-    }
-    if (!entry->intact) ++scan.corrupt_records;
-    scan.valid_bytes = offset;
-    scan.entries.push_back(std::move(*entry));
+  scan.valid_bytes = frames.valid_bytes;
+  scan.torn_tail = frames.torn_tail;
+  for (const RecordFrame& frame : frames.frames) {
+    scan.entries.push_back(EntryFor(frame));
+    if (!scan.entries.back().intact) ++scan.corrupt_records;
   }
-  if (!scan.torn_tail) scan.valid_bytes = bytes.size();
   return scan;
 }
 
 bool VerifySegmentRecordAt(const std::vector<uint8_t>& file_bytes,
                            uint64_t offset, uint64_t length) {
-  if (offset > file_bytes.size() || length > file_bytes.size() - offset) {
-    return false;
-  }
-  uint64_t cursor = offset;
-  const std::optional<SegmentEntry> entry = ParseFrame(file_bytes, &cursor);
-  return entry.has_value() && entry->intact && entry->length == length;
+  const std::optional<RecordFrame> frame =
+      ParseRecordFrameAt(kSegmentFormat, file_bytes, offset);
+  return frame.has_value() && frame->length == length &&
+         EntryFor(*frame).intact;
 }
 
 }  // namespace mergeable

@@ -1,18 +1,16 @@
 // Per-record-checksummed segment files: the durable store's log format.
 //
-// A segment file is a flat sequence of framed records, one per sealed
-// epoch leaf or dyadic merge node:
+// A segment file is a flat sequence of SEG1 records (the shared framing
+// of util/record_frame.h: magic 'S','E','G','1', length-prefixed body,
+// u64 checksum), one per sealed epoch leaf or dyadic merge node. Body:
 //
-//   u32  magic       'S','E','G','1'
-//   u32  body_len    followed by the body:
-//          u64 stream
-//          u32 level          0 = epoch leaf, >=1 = dyadic merge node
-//          u64 index          leaf index / node index at that level
-//          u32 payload_len + payload
-//                     level 0: an epoch record (epoch_meta.h — metadata
-//                     plus tagged summary payload); level >= 1: a
-//                     tagged summary payload (wire.h)
-//   u64  checksum    SegmentChecksum over the body
+//   u64 stream
+//   u32 level          0 = epoch leaf, >=1 = dyadic merge node
+//   u64 index          leaf index / node index at that level
+//   u32 payload_len + payload
+//              level 0: an epoch record (epoch_meta.h — metadata plus
+//              tagged summary payload); level >= 1: a tagged summary
+//              payload (wire.h)
 //
 // The format is append-only and latest-wins: a later record for the
 // same (stream, level, index) supersedes an earlier one, which is how
@@ -40,8 +38,6 @@ struct SegmentRecord {
   uint64_t index = 0;
   std::vector<uint8_t> payload;
 };
-
-uint64_t SegmentChecksum(const std::vector<uint8_t>& body);
 
 std::vector<uint8_t> EncodeSegmentRecord(const SegmentRecord& record);
 

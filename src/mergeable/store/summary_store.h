@@ -49,7 +49,6 @@
 #include <vector>
 
 #include "mergeable/aggregate/coordinator.h"
-#include "mergeable/aggregate/snapshot.h"
 #include "mergeable/aggregate/storage.h"
 #include "mergeable/aggregate/summary_registry.h"
 #include "mergeable/aggregate/wire.h"
@@ -101,6 +100,76 @@ template <WireSummary S>
 void CanonicalMergeInto(S& into, const S& from) {
   into.Merge(from);
   into = CanonicalForm(into);
+}
+
+// Mass of a summary for epsilon accounting; types without an n()
+// notion (KMV, Bloom) contribute what the caller recorded instead.
+template <WireSummary S>
+uint64_t SummaryMass(const S& summary) {
+  if constexpr (requires { summary.n(); }) {
+    return summary.n();
+  } else {
+    return 0;
+  }
+}
+
+// The metadata a coordinator epoch result (which must carry a summary)
+// seals with: its mass, shard coverage and degraded-coverage accounting.
+template <WireSummary S>
+EpochMeta ResultEpochMeta(uint64_t epoch, const AggregationResult<S>& result,
+                          double epsilon, uint64_t expected_total_n) {
+  EpochMeta meta;
+  meta.epoch = epoch;
+  meta.n = SummaryMass(*result.summary);
+  meta.shards_total = result.shards_total;
+  meta.shards_received = result.shards_received;
+  const ErrorAccounting accounting =
+      AccountErrors(epsilon, result.shards_total, result.shards_received,
+                    meta.n, expected_total_n);
+  meta.lost_mass = accounting.lost_mass;
+  meta.lost_mass_estimated = accounting.lost_mass_estimated;
+  return meta;
+}
+
+// A sealed epoch's level-0 record: its metadata and tagged payload.
+template <WireSummary S>
+std::vector<uint8_t> EncodeLeafRecord(const S& summary,
+                                      const EpochMeta& meta) {
+  return EncodeEpochRecord(meta, EncodeTaggedPayload(SummaryTraits<S>::kTag,
+                                                    EncodeSummary(summary)));
+}
+
+// The storage file of dyadic node (level, index) of `stream`:
+//   <prefix>/s<stream>/n<level>.<index>
+inline std::string NodeFileName(const std::string& prefix, uint64_t stream,
+                                uint32_t level, uint64_t index) {
+  return prefix + "/s" + std::to_string(stream) + "/n" +
+         std::to_string(level) + "." + std::to_string(index);
+}
+
+// Inverse of NodeFileName; false for any other file.
+inline bool ParseNodeFileName(const std::string& prefix,
+                              const std::string& file, uint64_t* stream,
+                              uint32_t* level, uint64_t* index) {
+  const std::string lead = prefix + "/s";
+  if (file.compare(0, lead.size(), lead) != 0) return false;
+  const size_t pos = lead.size();
+  const size_t slash = file.find('/', pos);
+  if (slash == std::string::npos || file.size() <= slash + 1 ||
+      file[slash + 1] != 'n') {
+    return false;
+  }
+  const size_t dot = file.find('.', slash + 2);
+  if (dot == std::string::npos) return false;
+  try {
+    *stream = std::stoull(file.substr(pos, slash - pos));
+    *level = static_cast<uint32_t>(
+        std::stoul(file.substr(slash + 2, dot - slash - 2)));
+    *index = std::stoull(file.substr(dot + 1));
+  } catch (...) {
+    return false;
+  }
+  return true;
 }
 
 // Execution + serving knobs.
@@ -192,7 +261,10 @@ class SummaryStore {
       uint64_t stream = 0;
       uint32_t level = 0;
       uint64_t index = 0;
-      if (!ParseNodeFileName(file, &stream, &level, &index)) continue;
+      if (!ParseNodeFileName(options_.prefix, file, &stream, &level,
+                             &index)) {
+        continue;
+      }
       if (level == 0) leaves[stream][index] = file;
     }
     for (const auto& [stream, files] : leaves) {
@@ -251,41 +323,9 @@ class SummaryStore {
                   const AggregationResult<S>& result,
                   uint64_t expected_total_n = 0) {
     if (!result.summary.has_value() || result.crashed) return false;
-    EpochMeta meta;
-    meta.epoch = epoch;
-    meta.n = SummaryMass(*result.summary);
-    meta.shards_total = result.shards_total;
-    meta.shards_received = result.shards_received;
-    const ErrorAccounting accounting = AccountErrors(
-        options_.epsilon, result.shards_total, result.shards_received,
-        meta.n, expected_total_n);
-    meta.lost_mass = accounting.lost_mass;
-    meta.lost_mass_estimated = accounting.lost_mass_estimated;
-    return Seal(stream, *result.summary, meta);
-  }
-
-  // Seals the newest valid snapshot checkpoint found on
-  // `checkpoint_storage` (the durable coordinator's output; snapshot.h).
-  // Returns false when no snapshot decodes, it carries no summary, or
-  // its payload is not a valid summary of this store's type.
-  bool SealFromCheckpoint(uint64_t stream, const Storage& checkpoint_storage,
-                          uint64_t expected_total_n = 0) {
-    const SnapshotScan scan = LoadLatestSnapshot(checkpoint_storage);
-    if (!scan.found || scan.snapshot.summary_payload.empty()) return false;
-    ByteReader reader(scan.snapshot.summary_payload);
-    std::optional<S> summary = S::DecodeFrom(reader);
-    if (!summary.has_value() || !reader.Exhausted()) return false;
-    EpochMeta meta;
-    meta.epoch = scan.snapshot.epoch;
-    meta.n = SummaryMass(*summary);
-    meta.shards_total = scan.snapshot.n_shards;
-    meta.shards_received = scan.snapshot.received_shards.size();
-    const ErrorAccounting accounting = AccountErrors(
-        options_.epsilon, meta.shards_total, meta.shards_received, meta.n,
-        expected_total_n);
-    meta.lost_mass = accounting.lost_mass;
-    meta.lost_mass_estimated = accounting.lost_mass_estimated;
-    return Seal(stream, *summary, meta);
+    return Seal(stream, *result.summary,
+                ResultEpochMeta(epoch, result, options_.epsilon,
+                                expected_total_n));
   }
 
   // Seals many consecutive epochs at once, building each completed tree
@@ -465,51 +505,15 @@ class SummaryStore {
     return it->second;
   }
 
-  // Mass of a summary for epsilon accounting; types without an n()
-  // notion (KMV, Bloom) contribute what the caller recorded instead.
-  static uint64_t SummaryMass(const S& summary) {
-    if constexpr (requires { summary.n(); }) {
-      return summary.n();
-    } else {
-      return 0;
-    }
-  }
-
-  std::string NodeFileName(uint64_t stream, const DyadicNode& node) const {
-    return options_.prefix + "/s" + std::to_string(stream) + "/n" +
-           std::to_string(node.level) + "." + std::to_string(node.index);
-  }
-
-  bool ParseNodeFileName(const std::string& file, uint64_t* stream,
-                         uint32_t* level, uint64_t* index) const {
-    const std::string lead = options_.prefix + "/s";
-    if (file.compare(0, lead.size(), lead) != 0) return false;
-    size_t pos = lead.size();
-    const size_t slash = file.find('/', pos);
-    if (slash == std::string::npos || file.size() <= slash + 1 ||
-        file[slash + 1] != 'n') {
-      return false;
-    }
-    const size_t dot = file.find('.', slash + 2);
-    if (dot == std::string::npos) return false;
-    try {
-      *stream = std::stoull(file.substr(pos, slash - pos));
-      *level = static_cast<uint32_t>(
-          std::stoul(file.substr(slash + 2, dot - slash - 2)));
-      *index = std::stoull(file.substr(dot + 1));
-    } catch (...) {
-      return false;
-    }
-    return true;
+  std::string NodeFile(uint64_t stream, const DyadicNode& node) const {
+    return NodeFileName(options_.prefix, stream, node.level, node.index);
   }
 
   bool WriteLeaf(uint64_t stream, uint64_t index, const S& summary,
                  const EpochMeta& meta) {
-    const std::vector<uint8_t> tagged =
-        EncodeTaggedPayload(kTag, EncodeSummary(summary));
-    const std::vector<uint8_t> record = EncodeEpochRecord(meta, tagged);
+    const std::vector<uint8_t> record = EncodeLeafRecord(summary, meta);
     bytes_written_.fetch_add(record.size(), std::memory_order_relaxed);
-    return storage_->Rewrite(NodeFileName(stream, DyadicNode{0, index}),
+    return storage_->Rewrite(NodeFile(stream, DyadicNode{0, index}),
                              record);
   }
 
@@ -517,7 +521,7 @@ class SummaryStore {
                         const std::vector<uint8_t>& payload) {
     const std::vector<uint8_t> tagged = EncodeTaggedPayload(kTag, payload);
     bytes_written_.fetch_add(tagged.size(), std::memory_order_relaxed);
-    return storage_->Rewrite(NodeFileName(stream, node), tagged);
+    return storage_->Rewrite(NodeFile(stream, node), tagged);
   }
 
   bool BuildAndWriteNode(uint64_t stream, const DyadicNode& node) {
@@ -572,7 +576,7 @@ class SummaryStore {
                                          const DyadicNode& node,
                                          QueryStats* query_stats) {
     const std::optional<std::vector<uint8_t>> bytes =
-        storage_->Read(NodeFileName(stream, node));
+        storage_->Read(NodeFile(stream, node));
     if (bytes.has_value()) {
       bytes_read_.fetch_add(bytes->size(), std::memory_order_relaxed);
       if (query_stats != nullptr) query_stats->bytes_read += bytes->size();

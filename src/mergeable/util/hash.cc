@@ -30,6 +30,18 @@ uint64_t MixHash(uint64_t x, uint64_t seed) {
   return MixHash(x ^ (seed + 0x9e3779b97f4a7c15ULL));
 }
 
+uint64_t HashWords(const uint8_t* data, size_t size, uint64_t h) {
+  size_t i = 0;
+  for (; i + 8 <= size; i += 8) {
+    uint64_t word = 0;
+    for (int b = 7; b >= 0; --b) word = (word << 8) | data[i + b];
+    h = MixHash(word, h);
+  }
+  uint64_t tail = 0;
+  for (size_t j = size; j > i; --j) tail = (tail << 8) | data[j - 1];
+  return MixHash(tail, h);
+}
+
 PolynomialHash::PolynomialHash(int degree, uint64_t seed) {
   MERGEABLE_CHECK_MSG(degree >= 1, "PolynomialHash degree must be >= 1");
   coefficients_.resize(static_cast<size_t>(degree));

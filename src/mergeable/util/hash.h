@@ -28,6 +28,11 @@ uint64_t MixHash(uint64_t x);
 // by `seed`.
 uint64_t MixHash(uint64_t x, uint64_t seed);
 
+// Folds `size` bytes into `h`, one MixHash per 64-bit little-endian word
+// (a final partial word is zero-padded). The body hash of every
+// checksummed frame and record format; a corruption check, not a MAC.
+uint64_t HashWords(const uint8_t* data, size_t size, uint64_t h);
+
 // A k-wise independent hash family: h(x) = (sum_i a_i x^i mod p) with
 // p = 2^61 - 1 and random coefficients a_0..a_{k-1}. Evaluation uses
 // Horner's rule with 128-bit intermediate products.

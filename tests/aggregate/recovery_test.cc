@@ -1,5 +1,6 @@
 // Crash-recovery tests for the durable coordinator — the acceptance
-// matrix: a crash is injected at EVERY WAL/snapshot write boundary, in
+// matrix: a crash is injected at EVERY log write boundary (reports,
+// lost shards and checkpoint records alike), in
 // every crash mode (process dies before the write, mid-write leaving a
 // torn record, after a bit-flipped "bad sector" write, and just after a
 // fully durable write whose acknowledgement is lost), across three
@@ -16,7 +17,6 @@
 
 #include "mergeable/aggregate/coordinator.h"
 #include "mergeable/aggregate/fault.h"
-#include "mergeable/aggregate/snapshot.h"
 #include "mergeable/aggregate/storage.h"
 #include "mergeable/aggregate/wal.h"
 #include "mergeable/core/merge_driver.h"
@@ -63,6 +63,29 @@ std::vector<uint8_t> EncodedBytes(const S& summary) {
   return writer.TakeBytes();
 }
 
+// Positions of the checkpoint records in the log.
+std::vector<size_t> CheckpointPositions(const Storage& storage) {
+  std::vector<size_t> positions;
+  const WalReplay replay = ReplayWal(storage, "wal");
+  for (size_t i = 0; i < replay.records.size(); ++i) {
+    if (replay.records[i].type == WalRecordType::kCheckpoint) {
+      positions.push_back(i);
+    }
+  }
+  return positions;
+}
+
+SimulatedTransport HealthyTransport(
+    const std::vector<std::vector<uint64_t>>& shards) {
+  SimulatedTransport transport{FaultPlan()};
+  for (size_t shard = 0; shard < shards.size(); ++shard) {
+    SpaceSaving summary = SpaceSaving::ForEpsilon(0.02);
+    for (uint64_t item : shards[shard]) summary.Update(item);
+    transport.Submit(shard, MakeReportFrame(summary, shard, kEpoch));
+  }
+  return transport;
+}
+
 // Builds one report frame per shard with `worker` (shard -> summary) and
 // plays the whole crash matrix for summary type S over `factory`'s
 // backend. `kDeadShard` never answers, so the matrix also crosses
@@ -105,7 +128,7 @@ void RunCrashMatrix(const char* type_name, BackendFactory& factory,
   const std::vector<uint8_t> reference_bytes =
       EncodedBytes(*reference_result.summary);
   const uint64_t total_writes = reference_storage->writes_attempted();
-  // Epoch begin + a record per shard + one snapshot per two received.
+  // Epoch begin + a record per shard + a checkpoint per two received.
   ASSERT_GE(total_writes, 1 + kShards);
 
   for (const CrashPoint& point : CrashMatrix(total_writes, /*seed=*/99)) {
@@ -284,7 +307,7 @@ TEST(RecoveryTest, EmptyStorageRecoversToFreshEpoch) {
   EXPECT_EQ(result.summary->n(), 1u);
 }
 
-// checkpoint_every = 0 disables snapshots entirely: recovery replays
+// checkpoint_every = 0 disables checkpoints entirely: recovery replays
 // the whole log and must land in the identical state.
 TEST(RecoveryTest, LogOnlyModeRecoversWithoutSnapshots) {
   const auto shards = MatrixShards();
@@ -308,7 +331,7 @@ TEST(RecoveryTest, LogOnlyModeRecoversWithoutSnapshots) {
   const auto reference_result = reference.RunDurable(
       reference_transport, kShards, &reference_storage, options);
   ASSERT_FALSE(reference_result.crashed);
-  EXPECT_EQ(reference_storage.stats().rewrites, 0u);  // No snapshots.
+  EXPECT_TRUE(CheckpointPositions(reference_storage).empty());
 
   // Crash at the very last write; everything must come back from the log.
   CrashPoint point;
@@ -326,7 +349,7 @@ TEST(RecoveryTest, LogOnlyModeRecoversWithoutSnapshots) {
                                   MergeTopology::kLeftDeepChain);
   const RecoveryInfo info = second.Recover(&storage, options);
   EXPECT_TRUE(info.recovered);
-  EXPECT_FALSE(info.used_snapshot);
+  EXPECT_FALSE(info.used_checkpoint);
   EXPECT_EQ(info.n_shards, kShards);
   SimulatedTransport resume_transport = make_transport();
   const auto result = second.ResumeDurable(resume_transport, kShards);
@@ -399,12 +422,12 @@ TEST(RecoveryTest, ReplayIgnoresOtherEpochs) {
   EXPECT_EQ(info.wal_records_applied, 0u);
 }
 
-// Stale snapshot + newer log: the snapshot covers a prefix and the log
-// tail past it still replays — state must equal log-only recovery.
+// Stale checkpoint + newer log: the checkpoint covers a prefix and the
+// records past it still replay — state must equal log-only recovery.
 TEST(RecoveryTest, StaleSnapshotReplaysNewerLogTail) {
   const auto shards = MatrixShards();
   DurableOptions options;
-  options.checkpoint_every = 4;  // One snapshot at 4 received reports.
+  options.checkpoint_every = 4;  // One checkpoint at 4 received reports.
 
   const auto make_transport = [&shards]() {
     SimulatedTransport transport{FaultPlan()};
@@ -423,15 +446,18 @@ TEST(RecoveryTest, StaleSnapshotReplaysNewerLogTail) {
   const auto uninterrupted =
       first.RunDurable(transport, kShards, &storage, options);
   ASSERT_FALSE(uninterrupted.crashed);
-  ASSERT_EQ(storage.stats().rewrites, 1u);  // Snapshot at 4 of 6 reports.
+  // Checkpoint at 4 of 6 reports, in the log itself: the run writes no
+  // file but its WAL.
+  ASSERT_EQ(CheckpointPositions(storage).size(), 1u);
+  EXPECT_EQ(storage.List(), std::vector<std::string>{"wal"});
 
-  // Recover with the full log + the mid-epoch snapshot: the snapshot is
-  // stale relative to the log and the tail replay must close the gap.
+  // Recover with the full log: the mid-epoch checkpoint is stale
+  // relative to the log and the tail replay must close the gap.
   Coordinator<SpaceSaving> second(kEpoch, MatrixPolicy(),
                                   MergeTopology::kLeftDeepChain);
   const RecoveryInfo info = second.Recover(&storage, options);
   EXPECT_TRUE(info.recovered);
-  EXPECT_TRUE(info.used_snapshot);
+  EXPECT_TRUE(info.used_checkpoint);
   EXPECT_GT(info.wal_records_applied, 0u);
   EXPECT_TRUE(info.pending_shards.empty());
 
@@ -441,6 +467,146 @@ TEST(RecoveryTest, StaleSnapshotReplaysNewerLogTail) {
   EXPECT_EQ(EncodedBytes(*result.summary),
             EncodedBytes(*uninterrupted.summary));
 }
+
+// Checkpoints — snapshots of the epoch's durable state, kept as records
+// of the log itself — over both backends.
+class SnapshotBackendTest : public ::testing::TestWithParam<BackendKind> {
+ protected:
+  SnapshotBackendTest() : factory_(GetParam()) {}
+  BackendFactory factory_;
+};
+
+TEST_P(SnapshotBackendTest, EmptyStorageScanFindsNothing) {
+  auto storage = factory_.Make();
+  Coordinator<SpaceSaving> coordinator(kEpoch, MatrixPolicy(),
+                                       MergeTopology::kLeftDeepChain);
+  const RecoveryInfo info = coordinator.Recover(storage.get());
+  EXPECT_FALSE(info.recovered);
+  EXPECT_FALSE(info.used_checkpoint);
+  EXPECT_EQ(info.wal_records_total, 0u);
+  EXPECT_FALSE(info.torn_tail_truncated);
+  EXPECT_TRUE(storage->List().empty());
+}
+
+TEST_P(SnapshotBackendTest, NewestValidSnapshotWins) {
+  const auto shards = MatrixShards();
+  DurableOptions options;
+  options.checkpoint_every = 2;
+  auto storage = factory_.Make();
+  Coordinator<SpaceSaving> first(kEpoch, MatrixPolicy(),
+                                 MergeTopology::kLeftDeepChain);
+  SimulatedTransport transport = HealthyTransport(shards);
+  const auto uninterrupted =
+      first.RunDurable(transport, kShards, storage.get(), options);
+  ASSERT_FALSE(uninterrupted.crashed);
+  const std::vector<size_t> checkpoints = CheckpointPositions(*storage);
+  ASSERT_EQ(checkpoints.size(), 3u);  // After 2, 4 and 6 reports.
+
+  Coordinator<SpaceSaving> second(kEpoch, MatrixPolicy(),
+                                  MergeTopology::kLeftDeepChain);
+  const RecoveryInfo info = second.Recover(storage.get(), options);
+  EXPECT_TRUE(info.used_checkpoint);
+  EXPECT_EQ(info.checkpoint_record, checkpoints.back());
+  EXPECT_EQ(info.wal_records_applied,
+            info.wal_records_total - checkpoints.back() - 1);
+  EXPECT_TRUE(info.pending_shards.empty());
+  SimulatedTransport resume_transport = HealthyTransport(shards);
+  const auto result = second.ResumeDurable(resume_transport, kShards);
+  ASSERT_TRUE(result.summary.has_value());
+  EXPECT_EQ(EncodedBytes(*result.summary),
+            EncodedBytes(*uninterrupted.summary));
+}
+
+// A torn or bit-flipped newest checkpoint is an ordinary torn tail: it
+// is truncated, and recovery restores the checkpoint before it.
+TEST_P(SnapshotBackendTest, FallsBackPastTornNewestCheckpoint) {
+  const auto shards = MatrixShards();
+  DurableOptions options;
+  options.checkpoint_every = 2;
+
+  auto reference_storage = factory_.Make();
+  Coordinator<SpaceSaving> reference(kEpoch, MatrixPolicy(),
+                                     MergeTopology::kLeftDeepChain);
+  SimulatedTransport reference_transport = HealthyTransport(shards);
+  const auto uninterrupted = reference.RunDurable(
+      reference_transport, kShards, reference_storage.get(), options);
+  ASSERT_FALSE(uninterrupted.crashed);
+  const std::vector<size_t> checkpoints =
+      CheckpointPositions(*reference_storage);
+  ASSERT_EQ(checkpoints.size(), 3u);  // After 2, 4 and 6 reports.
+
+  for (const CrashMode mode :
+       {CrashMode::kTornWrite, CrashMode::kCorruptWrite}) {
+    SCOPED_TRACE(ToString(mode));
+    // Each append is one write, so a record's log position is its write
+    // index.
+    CrashPoint point;
+    point.mode = mode;
+    point.write_index = checkpoints[1];
+    // Leaves a nonempty torn prefix on both backends (FileStorage tears
+    // at sector boundaries, so many seeds persist nothing).
+    point.mutation_seed = 23;
+    auto storage = factory_.Make(point);
+    Coordinator<SpaceSaving> first(kEpoch, MatrixPolicy(),
+                                   MergeTopology::kLeftDeepChain);
+    SimulatedTransport transport = HealthyTransport(shards);
+    ASSERT_TRUE(
+        first.RunDurable(transport, kShards, storage.get(), options).crashed);
+
+    storage->Restart();
+    Coordinator<SpaceSaving> second(kEpoch, MatrixPolicy(),
+                                    MergeTopology::kLeftDeepChain);
+    const RecoveryInfo info = second.Recover(storage.get(), options);
+    EXPECT_TRUE(info.torn_tail_truncated);
+    EXPECT_TRUE(info.used_checkpoint);
+    EXPECT_EQ(info.checkpoint_record, checkpoints[0]);
+    EXPECT_EQ(info.wal_records_total, checkpoints[1]);
+    EXPECT_EQ(info.duplicates_ignored, 0u);
+    SimulatedTransport resume_transport = HealthyTransport(shards);
+    const auto result = second.ResumeDurable(resume_transport, kShards);
+    ASSERT_TRUE(result.summary.has_value());
+    EXPECT_EQ(EncodedBytes(*result.summary),
+              EncodedBytes(*uninterrupted.summary));
+  }
+}
+
+// Recovery reads only its log. In particular checkpoints used to be
+// separate snapshot files ("snap.<seq>"): such files are never read or
+// written again, since the log alone recovers.
+TEST_P(SnapshotBackendTest, IgnoresUnrelatedFiles) {
+  const auto shards = MatrixShards();
+  auto storage = factory_.Make();
+  const std::vector<uint8_t> junk = {'S', 'N', 'P', '1', 0, 0, 0, 0};
+  ASSERT_TRUE(storage->Rewrite("snap.000000000001", junk));
+
+  Coordinator<SpaceSaving> first(kEpoch, MatrixPolicy(),
+                                 MergeTopology::kLeftDeepChain);
+  SimulatedTransport transport = HealthyTransport(shards);
+  const auto uninterrupted =
+      first.RunDurable(transport, kShards, storage.get());
+  ASSERT_FALSE(uninterrupted.crashed);
+
+  Coordinator<SpaceSaving> second(kEpoch, MatrixPolicy(),
+                                  MergeTopology::kLeftDeepChain);
+  const RecoveryInfo info = second.Recover(storage.get());
+  EXPECT_TRUE(info.recovered);
+  EXPECT_TRUE(info.pending_shards.empty());
+  EXPECT_EQ(storage->List(),
+            (std::vector<std::string>{"snap.000000000001", "wal"}));
+  EXPECT_EQ(*storage->Read("snap.000000000001"), junk);
+  SimulatedTransport resume_transport = HealthyTransport(shards);
+  const auto result = second.ResumeDurable(resume_transport, kShards);
+  ASSERT_TRUE(result.summary.has_value());
+  EXPECT_EQ(EncodedBytes(*result.summary),
+            EncodedBytes(*uninterrupted.summary));
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, SnapshotBackendTest,
+                         ::testing::Values(BackendKind::kMem,
+                                           BackendKind::kFile),
+                         [](const auto& info) {
+                           return BackendName(info.param);
+                         });
 
 // Recovery under a faulty network too: the refetched shards go through
 // the usual retry/dedup machinery and the mass still adds up exactly.

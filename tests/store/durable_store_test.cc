@@ -352,6 +352,41 @@ TEST(DurableStoreTest, EnospcSealFailsCleanAndRetries) {
   EXPECT_FALSE(after->partial);
 }
 
+// A stray file beside the segments (an operator's backup copy) is not
+// a segment: it must neither override the records the log holds nor
+// move the append cursor, and it is left exactly as it was.
+TEST(DurableStoreTest, StrayFileInSegmentDirectoryIsIgnored) {
+  MemStorage storage;
+  const std::string stray = "durable/seg/00000000.bak";
+  std::vector<uint8_t> stray_bytes;
+  {
+    DurableStore<SpaceSaving> store(&storage, Options());
+    ASSERT_EQ(SealUpTo(store, 4), 4u);
+    const auto segment = storage.Read("durable/seg/00000000");
+    ASSERT_TRUE(segment.has_value());
+    const SegmentScan scan = ScanSegment(*segment);
+    ASSERT_FALSE(scan.entries.empty());
+    stray_bytes.assign(segment->begin(),
+                       segment->begin() + scan.entries[0].length);
+    ASSERT_TRUE(storage.Rewrite(stray, stray_bytes));
+  }
+  DurableStore<SpaceSaving> reopened(&storage, Options());
+  const OpenReport report = reopened.Open();
+  EXPECT_EQ(report.segments, 1u);
+  EXPECT_EQ(report.epochs, 4u);
+  for (uint64_t e = 4; e < 8; ++e) {
+    const SpaceSaving summary = MakeEpochSummary(e);
+    ASSERT_TRUE(reopened.Seal(kStream, summary, MetaFor(e, summary)));
+  }
+  reopened.ScrubOnce();
+  EXPECT_EQ(reopened.scrub_stats().corrupt_found, 0u);
+  EXPECT_TRUE(reopened.QuarantinedLeaves(kStream).empty());
+  EXPECT_EQ(*storage.Read(stray), stray_bytes);
+  const auto outcome = reopened.QueryRangePayload(kStream, 0, 7);
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_FALSE(outcome->partial);
+}
+
 // MemStorage works as the durable backend too (the test double the
 // chaos harness uses); the two-tier store is backend-agnostic.
 TEST(DurableStoreTest, MemBackendRoundTrips) {

@@ -1,6 +1,6 @@
 // Store persistence: Open() recovery after restarts and injected
-// crashes, lazy rebuild of torn internal nodes, and the coordinator /
-// checkpoint ingestion paths.
+// crashes, lazy rebuild of torn internal nodes, and the coordinator
+// ingestion path.
 
 #include <cstdint>
 #include <optional>
@@ -11,7 +11,6 @@
 
 #include "mergeable/aggregate/coordinator.h"
 #include "mergeable/aggregate/fault.h"
-#include "mergeable/aggregate/snapshot.h"
 #include "mergeable/aggregate/storage.h"
 #include "mergeable/frequency/space_saving.h"
 #include "mergeable/store/summary_store.h"
@@ -241,46 +240,6 @@ TEST(StoreIngestTest, SealResultRefusesCrashedOrEmptyResults) {
   crashed.crashed = true;
   EXPECT_FALSE(store.SealResult(1, 0, crashed));
   EXPECT_FALSE(store.HasStream(1));
-}
-
-TEST(StoreIngestTest, SealFromCheckpointIngestsLatestSnapshot) {
-  // Write two snapshot checkpoints; the store must ingest the newest.
-  MemStorage checkpoints;
-  const SpaceSaving old_summary = MakeEpochSummary(1);
-  const SpaceSaving new_summary = MakeEpochSummary(2);
-  Snapshot old_snapshot;
-  old_snapshot.epoch = 6;
-  old_snapshot.n_shards = 4;
-  old_snapshot.received_shards = {0, 1, 2, 3};
-  old_snapshot.summary_payload = EncodeSummary(old_summary);
-  ASSERT_TRUE(WriteSnapshotFile(&checkpoints, 1, old_snapshot));
-  Snapshot new_snapshot;
-  new_snapshot.epoch = 7;
-  new_snapshot.n_shards = 4;
-  new_snapshot.received_shards = {0, 2, 3};
-  new_snapshot.summary_payload = EncodeSummary(new_summary);
-  ASSERT_TRUE(WriteSnapshotFile(&checkpoints, 2, new_snapshot));
-
-  MemStorage storage;
-  SummaryStore<SpaceSaving> store(&storage);
-  ASSERT_TRUE(store.SealFromCheckpoint(3, checkpoints));
-  ASSERT_EQ(store.EpochCount(3), 1u);
-  EXPECT_EQ(store.BaseEpoch(3), 7u);
-  const EpochMeta& meta = store.Metas(3)[0];
-  EXPECT_EQ(meta.shards_total, 4u);
-  EXPECT_EQ(meta.shards_received, 3u);
-  EXPECT_EQ(meta.n, new_summary.n());
-
-  const auto outcome = store.QueryRangePayload(3, 7, 7);
-  ASSERT_TRUE(outcome.has_value());
-  EXPECT_EQ(*outcome->payload, EncodeSummary(new_summary));
-}
-
-TEST(StoreIngestTest, SealFromCheckpointRefusesEmptyStorage) {
-  MemStorage empty;
-  MemStorage storage;
-  SummaryStore<SpaceSaving> store(&storage);
-  EXPECT_FALSE(store.SealFromCheckpoint(1, empty));
 }
 
 TEST(StoreIngestTest, StoreStatsCountSealsAndBuilds) {
