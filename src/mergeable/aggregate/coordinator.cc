@@ -26,31 +26,4 @@ uint64_t BackoffPolicy::BackoffBefore(uint32_t attempt) const {
   return static_cast<uint64_t>(backoff);
 }
 
-ErrorAccounting AccountErrors(double epsilon, size_t shards_total,
-                              size_t shards_received, uint64_t n_received,
-                              uint64_t expected_total_n) {
-  ErrorAccounting accounting;
-  accounting.coverage =
-      shards_total == 0 ? 0.0
-                        : static_cast<double>(shards_received) /
-                              static_cast<double>(shards_total);
-  accounting.n_received = n_received;
-  accounting.received_bound = epsilon * static_cast<double>(n_received);
-  const size_t lost = shards_total - shards_received;
-  if (expected_total_n > 0) {
-    accounting.lost_mass = expected_total_n > n_received
-                               ? expected_total_n - n_received
-                               : 0;
-  } else if (lost > 0 && shards_received > 0) {
-    // Uniform-shard estimate: lost shards carry the mean received weight.
-    const uint64_t mean_shard =
-        (n_received + shards_received - 1) / shards_received;
-    accounting.lost_mass = static_cast<uint64_t>(lost) * mean_shard;
-    accounting.lost_mass_estimated = true;
-  }
-  accounting.full_stream_bound =
-      accounting.received_bound + static_cast<double>(accounting.lost_mass);
-  return accounting;
-}
-
 }  // namespace mergeable

@@ -16,40 +16,42 @@
 //     n_received / n_total and ErrorAccounting widens the error bound by
 //     the unobserved mass.
 //
+// The epoch's reports live in an EpochAccumulator (epoch_accumulator.h),
+// the sealing core shared with the server's EpochService: it owns the
+// dedup rule, the received/lost sets and the fold. The coordinator is
+// the pull loop around it: retries, the log and the checkpoints.
+//
 // The coordinator also survives *itself* (DESIGN.md §8): in durable mode
 // every accepted report is appended to a write-ahead log (wal.h) before
-// it is merged, and the partially merged summary is checkpointed
-// periodically as one more record of that log, all through a Storage
-// backend. After a crash, Recover() truncates any torn tail, restores
-// the epoch's last intact checkpoint, replays the records after it
-// idempotently — dedup by (shard, epoch) makes a record whose
-// acknowledgement died with the process merge exactly once — and
-// ResumeDurable() refetches only the shards that were never durably
-// recorded. Durable runs merge left-deep in ascending shard order, so a
-// recovered epoch produces a summary byte-identical (canonical
-// encodings) to an uninterrupted one.
+// it is accepted, and the fold so far is checkpointed periodically as
+// one more record of that log, all through a Storage backend. After a
+// crash, Recover() truncates any torn tail, restores the epoch's last
+// intact checkpoint, replays the records after it idempotently — dedup
+// by (shard, epoch) makes a record whose acknowledgement died with the
+// process merge exactly once — and ResumeDurable() refetches only the
+// shards that were never durably recorded. Durable runs fold left-deep
+// in ascending shard order, so a recovered epoch produces a summary
+// byte-identical (canonical encodings) to an uninterrupted one.
 //
-// The merge itself reuses core/merge_driver.h, so the coordinator works
-// under any merge topology — the mergeability guarantee (the paper's
-// central claim) is exactly what makes partial, reordered, retried,
-// replayed aggregation sound: whatever subset of shards arrives, in
-// whatever order they are merged, the result is a valid summary of the
-// union of the received shards with the same epsilon.
+// In-memory runs merge under the constructor's topology — the
+// mergeability guarantee (the paper's central claim) is exactly what
+// makes partial, reordered, retried, replayed aggregation sound:
+// whatever subset of shards arrives, in whatever order they are merged,
+// the result is a valid summary of the union of the received shards
+// with the same epsilon.
 
 #ifndef MERGEABLE_AGGREGATE_COORDINATOR_H_
 #define MERGEABLE_AGGREGATE_COORDINATOR_H_
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <optional>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "mergeable/aggregate/epoch_accumulator.h"
 #include "mergeable/aggregate/fault.h"
 #include "mergeable/aggregate/transport.h"
 #include "mergeable/aggregate/storage.h"
@@ -80,99 +82,6 @@ struct BackoffPolicy {
 
   // Backoff inserted before `attempt` (zero before the first try).
   uint64_t BackoffBefore(uint32_t attempt) const;
-};
-
-// Per-shard aggregation outcome.
-struct ShardOutcome {
-  enum class Status {
-    kReceived,  // A valid report was accepted.
-    kLost,      // All attempts exhausted or deadline passed.
-  };
-  uint64_t shard_id = 0;
-  Status status = Status::kLost;
-  uint32_t attempts = 0;        // Exchanges performed (0: recovered from
-                                // durable state, no fetch needed).
-  uint64_t malformed = 0;       // Frames rejected (checksum / decode).
-  uint64_t duplicates = 0;      // Frames deduplicated by (shard, epoch).
-  uint64_t elapsed_ms = 0;      // Virtual time spent on this shard.
-};
-
-// Degraded-coverage error accounting (see DESIGN.md §7). For a summary
-// family guaranteeing error <= epsilon * n after arbitrary merging:
-//   * against the received shards the merged summary keeps the native
-//     bound epsilon * n_received — mergeability holds for any subset;
-//   * against the full (partly unobserved) stream every lost shard may
-//     hide up to its whole weight, so the bound widens additively by the
-//     lost mass (exact when the caller knows the intended total, else
-//     estimated from the mean received shard weight).
-struct ErrorAccounting {
-  double coverage = 1.0;          // shards_received / shards_total.
-  uint64_t n_received = 0;        // Mass actually aggregated.
-  uint64_t lost_mass = 0;         // Known or estimated unobserved mass.
-  bool lost_mass_estimated = false;
-  double received_bound = 0.0;    // epsilon * n_received.
-  double full_stream_bound = 0.0; // received_bound + lost_mass.
-};
-
-// Everything the coordinator learned in one epoch.
-template <WireSummary S>
-struct AggregationResult {
-  // Merge of every accepted report; nullopt when nothing arrived (or
-  // the run crashed).
-  std::optional<S> summary;
-  // True when a durable run died on a storage write before finishing
-  // the epoch: the partial state is on storage, not in this result —
-  // construct a fresh coordinator and Recover().
-  bool crashed = false;
-  size_t shards_total = 0;
-  size_t shards_received = 0;
-  uint64_t retries = 0;             // Exchanges beyond each first attempt.
-  uint64_t duplicates_rejected = 0;
-  uint64_t malformed_rejected = 0;
-  uint64_t incompatible_rejected = 0;  // Decoded but failed validation.
-  uint64_t elapsed_ms = 0;          // Max over shards (parallel fetches).
-  std::vector<ShardOutcome> outcomes;
-
-  size_t shards_lost() const { return shards_total - shards_received; }
-  double Coverage() const {
-    return shards_total == 0
-               ? 0.0
-               : static_cast<double>(shards_received) /
-                     static_cast<double>(shards_total);
-  }
-  bool Degraded() const { return shards_received < shards_total; }
-};
-
-// Computes the degraded-coverage accounting for a result whose summary
-// guarantees error <= epsilon * n. `expected_total_n` is the intended
-// full-stream mass if the caller knows it (0 = unknown, estimate it).
-ErrorAccounting AccountErrors(double epsilon, size_t shards_total,
-                              size_t shards_received, uint64_t n_received,
-                              uint64_t expected_total_n);
-
-template <WireSummary S>
-ErrorAccounting AccountErrors(const AggregationResult<S>& result,
-                              double epsilon,
-                              uint64_t expected_total_n = 0) {
-  return AccountErrors(epsilon, result.shards_total, result.shards_received,
-                       result.summary.has_value() ? result.summary->n() : 0,
-                       expected_total_n);
-}
-
-// Execution knobs for in-memory runs. num_threads > 1 parallelizes
-// Run(): shard fetch/decode fans out over a ThreadPool (the transport
-// exchange itself is serialized under a mutex; frame decode, summary
-// decode and validation run concurrently), and a kBalancedTree topology
-// merges via ParallelMergeAll. The result is byte-identical to the
-// sequential run for every thread count: per-shard transport state and
-// (seed, shard, attempt)-keyed fault decisions make fetch outcomes
-// independent of scheduling, accepted summaries are collected in shard
-// order, and the parallel balanced reduction is deterministic by
-// construction (see merge_driver.h). Durable runs ignore num_threads —
-// their left-deep ascending merge order is what makes recovery
-// byte-exact, so it stays canonical and sequential.
-struct CoordinatorOptions {
-  int num_threads = 1;
 };
 
 // Knobs for durable (write-ahead log) runs.
@@ -224,12 +133,8 @@ class Coordinator {
   // use it to enforce fleet-wide configuration (capacity, seeds) so a
   // stray incompatible report cannot abort the merge.
   Coordinator(uint64_t epoch, BackoffPolicy policy, MergeTopology topology,
-              uint64_t seed = 0, CoordinatorOptions options = {})
-      : epoch_(epoch), policy_(policy), topology_(topology), rng_(seed),
-        coordinator_options_(options) {
-    MERGEABLE_CHECK_MSG(options.num_threads >= 1,
-                        "CoordinatorOptions::num_threads must be >= 1");
-  }
+              uint64_t seed = 0)
+      : epoch_(epoch), policy_(policy), topology_(topology), rng_(seed) {}
 
   void set_validator(bool (*validate)(const S&)) { validate_ = validate; }
 
@@ -241,10 +146,10 @@ class Coordinator {
   uint64_t wal_append_backoff_ms() const { return wal_append_backoff_ms_; }
 
   // Moves the coordinator to a new epoch, resetting every per-epoch
-  // state: dedup/outcome sets, the partial merge, rejection counters,
-  // and any attached durable storage. Reusing one coordinator across
-  // epochs without this reset would let stale state leak into the next
-  // round, so the epoch must actually change.
+  // state: the accumulator, rejection counters, and any attached
+  // durable storage. Reusing one coordinator across epochs without this
+  // reset would let stale state leak into the next round, so the epoch
+  // must actually change.
   void AdvanceEpoch(uint64_t new_epoch) {
     MERGEABLE_CHECK_MSG(new_epoch != epoch_,
                         "AdvanceEpoch requires a different epoch");
@@ -253,35 +158,16 @@ class Coordinator {
   }
 
   // Fetches the reports of shards [0, n_shards) from `transport`, with
-  // retries, dedup and degraded-coverage accounting. In-memory only: a
-  // coordinator crash loses the epoch (use RunDurable to survive that).
+  // retries, dedup and degraded-coverage accounting, and merges them
+  // under the constructor's topology. In-memory only: a coordinator
+  // crash loses the epoch (use RunDurable to survive that).
   AggregationResult<S> Run(Transport& transport, size_t n_shards) {
     ResetEpochState();
-    if (coordinator_options_.num_threads > 1 && n_shards > 1) {
-      return RunParallel(transport, n_shards);
-    }
-    AggregationResult<S> result;
-    result.shards_total = n_shards;
-    result.outcomes.reserve(n_shards);
-    std::vector<S> accepted;
-    accepted.reserve(n_shards);
-    for (uint64_t shard = 0; shard < n_shards; ++shard) {
-      std::optional<FetchedReport> fetched;
-      ShardOutcome outcome = FetchShard(transport, shard, &fetched);
-      AbsorbOutcome(outcome, &result);
-      if (fetched.has_value()) accepted.push_back(std::move(fetched->summary));
-      result.outcomes.push_back(std::move(outcome));
-    }
-    result.shards_received = accepted.size();
-    result.incompatible_rejected = incompatible_;
-    if (!accepted.empty()) {
-      result.summary = MergeAll(std::move(accepted), topology_, &rng_);
-    }
-    return result;
+    return ShardLoop(transport, n_shards);
   }
 
   // Durable variant of Run: every accepted report is WAL-appended before
-  // it is merged and the partial merge is logged as a checkpoint record
+  // it is accepted and the fold so far is logged as a checkpoint record
   // every `options.checkpoint_every` reports, all through `storage`. If a
   // storage write fails mid-epoch the result comes back with
   // `crashed == true`; a fresh coordinator can then Recover() from the
@@ -296,7 +182,7 @@ class Coordinator {
                                   DurableOptions options = {}) {
     ResetEpochState();
     AttachStorage(storage, std::move(options));
-    return DurableLoop(transport, n_shards);
+    return ShardLoop(transport, n_shards);
   }
 
   // Rebuilds durable state from `storage` after a crash: truncates a
@@ -330,30 +216,22 @@ class Coordinator {
       ++info.wal_records_applied;
       switch (record.type) {
         case WalRecordType::kEpochBegin:
-          epoch_begun_ = true;
           durable_n_shards_ = record.shard_id;
           break;
-        case WalRecordType::kReport: {
-          if (received_.count(record.shard_id) != 0) {
-            // The record was made durable twice (e.g. an append whose
-            // acknowledgement died); dedup by (shard, epoch) merges it
-            // exactly once.
+        case WalRecordType::kReport:
+          // A record made durable twice (e.g. an append whose
+          // acknowledgement died) is a duplicate: merged exactly once.
+          if (accumulator_.Holds(record.shard_id)) {
             ++info.duplicates_ignored;
-            break;
-          }
-          ByteReader reader(record.payload);
-          std::optional<S> summary = S::DecodeFrom(reader);
-          if (!summary.has_value() || !reader.Exhausted()) {
+          } else if (std::optional<S> summary = DecodeReportPayload<S>(
+                         ByteReader(record.payload))) {
+            accumulator_.Add(record.shard_id, std::move(*summary));
+          } else {
             ++info.invalid_payloads;
-            break;
           }
-          ApplyReport(record.shard_id, std::move(*summary));
           break;
-        }
         case WalRecordType::kShardLost:
-          if (received_.count(record.shard_id) == 0) {
-            lost_.insert(record.shard_id);
-          }
+          accumulator_.MarkLost(record.shard_id);
           break;
         case WalRecordType::kCheckpoint:
           break;  // Only the last one is restored; none follow it.
@@ -366,14 +244,10 @@ class Coordinator {
       info.torn_tail_truncated = true;
     }
 
-    info.recovered = epoch_begun_;
-    info.n_shards = durable_n_shards_;
-    if (epoch_begun_) {
-      for (uint64_t shard = 0; shard < durable_n_shards_; ++shard) {
-        if (received_.count(shard) == 0 && lost_.count(shard) == 0) {
-          info.pending_shards.push_back(shard);
-        }
-      }
+    info.recovered = durable_n_shards_.has_value();
+    info.n_shards = durable_n_shards_.value_or(0);
+    for (uint64_t shard = 0; shard < info.n_shards; ++shard) {
+      if (!accumulator_.Holds(shard)) info.pending_shards.push_back(shard);
     }
     return info;
   }
@@ -386,7 +260,7 @@ class Coordinator {
                                      size_t n_shards) {
     MERGEABLE_CHECK_MSG(wal_.has_value(),
                         "ResumeDurable requires Recover() first");
-    return DurableLoop(transport, n_shards);
+    return ShardLoop(transport, n_shards);
   }
 
  private:
@@ -397,53 +271,10 @@ class Coordinator {
     std::vector<uint8_t> payload;
   };
 
-  // The parallel in-memory epoch (num_threads > 1). Fetch outcomes land
-  // in per-shard slots and are absorbed in ascending shard order, so
-  // every aggregate (retry counts, accepted vector, merge input order)
-  // matches the sequential loop exactly.
-  AggregationResult<S> RunParallel(Transport& transport,
-                                   size_t n_shards) {
-    AggregationResult<S> result;
-    result.shards_total = n_shards;
-    result.outcomes.reserve(n_shards);
-    ThreadPool pool(coordinator_options_.num_threads);
-    std::mutex transport_mutex;
-    std::vector<std::optional<FetchedReport>> fetched(n_shards);
-    std::vector<ShardOutcome> outcomes(n_shards);
-    pool.ParallelFor(n_shards, [&](size_t shard) {
-      outcomes[shard] = FetchShard(transport, static_cast<uint64_t>(shard),
-                                   &fetched[shard], &transport_mutex);
-    });
-    std::vector<S> accepted;
-    accepted.reserve(n_shards);
-    for (size_t shard = 0; shard < n_shards; ++shard) {
-      AbsorbOutcome(outcomes[shard], &result);
-      if (fetched[shard].has_value()) {
-        accepted.push_back(std::move(fetched[shard]->summary));
-      }
-      result.outcomes.push_back(std::move(outcomes[shard]));
-    }
-    result.shards_received = accepted.size();
-    result.incompatible_rejected = incompatible_;
-    if (!accepted.empty()) {
-      if (topology_ == MergeTopology::kBalancedTree) {
-        result.summary = ParallelMergeAll(std::move(accepted), pool);
-      } else {
-        // Chain and random trees have no scheduling-independent parallel
-        // form; the fetch fan-out above already did the parallel work.
-        result.summary = MergeAll(std::move(accepted), topology_, &rng_);
-      }
-    }
-    return result;
-  }
-
   void ResetEpochState() {
     incompatible_ = 0;
-    merged_.reset();
-    received_.clear();
-    lost_.clear();
-    epoch_begun_ = false;
-    durable_n_shards_ = 0;
+    accumulator_ = EpochAccumulator<S>();
+    durable_n_shards_.reset();
     wal_.reset();
   }
 
@@ -453,64 +284,57 @@ class Coordinator {
     wal_.emplace(storage, options_.wal_file);
   }
 
-  // Merges an accepted (decoded) report into the durable state. Codecs
-  // keep decoded and merged states at the encode∘decode fixed point, so
-  // the in-memory state always equals its checkpoint-restored image and
-  // recovery is byte-exact for any crash point.
-  void ApplyReport(uint64_t shard, S summary) {
-    if (merged_.has_value()) {
-      merged_->Merge(summary);
-    } else {
-      merged_ = std::move(summary);
-    }
-    received_.insert(shard);
-  }
-
-  void AbsorbOutcome(const ShardOutcome& outcome,
-                     AggregationResult<S>* result) {
-    result->retries += outcome.attempts > 0 ? outcome.attempts - 1 : 0;
-    result->duplicates_rejected += outcome.duplicates;
-    result->malformed_rejected += outcome.malformed;
-    result->elapsed_ms = std::max(result->elapsed_ms, outcome.elapsed_ms);
-  }
-
+  // Logs the accumulator's fold so far. Codecs keep decoded and merged
+  // states at the encode∘decode fixed point, so the in-memory state
+  // always equals its checkpoint-restored image and recovery is
+  // byte-exact for any crash point.
   bool WriteCheckpoint() {
     WalRecord checkpoint;
     checkpoint.type = WalRecordType::kCheckpoint;
-    checkpoint.shard_id = durable_n_shards_;
+    checkpoint.shard_id = *durable_n_shards_;
     checkpoint.epoch = epoch_;
-    if (merged_.has_value()) {
+    const std::optional<S>& folded = accumulator_.FoldPrefix();
+    if (folded.has_value()) {
       ByteWriter writer;
-      merged_->EncodeTo(writer);
+      folded->EncodeTo(writer);
       checkpoint.payload = writer.TakeBytes();
     }
-    checkpoint.received_shards.assign(received_.begin(), received_.end());
-    checkpoint.lost_shards.assign(lost_.begin(), lost_.end());
+    checkpoint.received_shards = accumulator_.received_shards();
+    checkpoint.lost_shards = accumulator_.lost_shards();
     return WalAppend(std::move(checkpoint));
   }
 
   void RestoreCheckpoint(const WalRecord& checkpoint) {
-    epoch_begun_ = true;
     durable_n_shards_ = checkpoint.shard_id;
-    received_.insert(checkpoint.received_shards.begin(),
-                     checkpoint.received_shards.end());
-    lost_.insert(checkpoint.lost_shards.begin(),
-                 checkpoint.lost_shards.end());
+    std::optional<S> folded;
     if (!checkpoint.payload.empty()) {
-      ByteReader reader(checkpoint.payload);
-      std::optional<S> summary = S::DecodeFrom(reader);
+      folded = DecodeReportPayload<S>(ByteReader(checkpoint.payload));
       // The record checksum already vouched for these bytes; a decode
       // failure here is a checkpoint-writer bug.
-      MERGEABLE_CHECK_MSG(summary.has_value() && reader.Exhausted(),
+      MERGEABLE_CHECK_MSG(folded.has_value(),
                           "checksummed checkpoint payload must decode");
-      merged_ = std::move(*summary);
     }
+    accumulator_.Restore(checkpoint.received_shards, checkpoint.lost_shards,
+                         std::move(folded));
   }
 
-  // Appends `record`. Transient append failures are retried under
+  // Logs a kEpochBegin, kReport or kShardLost record of this epoch.
+  bool Log(WalRecordType type, uint64_t shard_id,
+           std::vector<uint8_t> payload = {}) {
+    WalRecord record;
+    record.type = type;
+    record.shard_id = shard_id;
+    record.epoch = epoch_;
+    record.payload = std::move(payload);
+    return WalAppend(std::move(record));
+  }
+
+  // Appends `record` to the WAL; a no-op success when no log is attached
+  // (in-memory runs). Transient append failures are retried under
   // options_.append_retry: a record only counts as lost once the bounded
   // schedule is exhausted, so one flaky write no longer aborts the epoch.
   bool WalAppend(WalRecord record) {
+    if (!wal_.has_value()) return true;
     const BackoffPolicy& retry = options_.append_retry;
     const uint32_t attempts = retry.max_attempts > 0 ? retry.max_attempts : 1;
     for (uint32_t attempt = 0; attempt < attempts; ++attempt) {
@@ -523,137 +347,98 @@ class Coordinator {
     return false;
   }
 
-  // Marks `result` as crashed in place (no move of the result object:
-  // GCC 12 misdiagnoses moving a disengaged optional member as a read
-  // of uninitialized payload bytes under heavy inlining).
-  void MarkCrashed(AggregationResult<S>* result) {
-    result->crashed = true;
-    result->summary.reset();
-    result->shards_received = received_.size();
-  }
-
-  // The fetch/log/merge/checkpoint loop shared by RunDurable and
-  // ResumeDurable. Shards already durably received or lost are skipped;
-  // everything else is fetched, WAL-logged *before* merging, and merged
-  // left-deep in ascending shard order.
-  AggregationResult<S> DurableLoop(Transport& transport,
-                                   size_t n_shards) {
+  // The loop shared by Run, RunDurable and ResumeDurable: collect, then
+  // seal (left-deep when durable, else under the constructor's topology).
+  // A storage failure marks the result crashed in place: moving a result
+  // with a disengaged optional trips a GCC 12 false positive.
+  AggregationResult<S> ShardLoop(Transport& transport, size_t n_shards) {
     AggregationResult<S> result;
     result.shards_total = n_shards;
     result.outcomes.reserve(n_shards);
-    if (!epoch_begun_) {
-      WalRecord begin;
-      begin.type = WalRecordType::kEpochBegin;
-      begin.shard_id = n_shards;
-      begin.epoch = epoch_;
-      if (!WalAppend(std::move(begin))) {
-        MarkCrashed(&result);
-        return result;
-      }
-      epoch_begun_ = true;
+    if (!CollectShards(transport, n_shards, &result)) {
+      result.crashed = true;
+      result.shards_received = accumulator_.received();
+      return result;
+    }
+    AggregationResult<S> sealed = std::move(accumulator_).Seal(
+        n_shards,
+        wal_.has_value() ? MergeTopology::kLeftDeepChain : topology_, &rng_);
+    result.shards_received = sealed.shards_received;
+    result.incompatible_rejected = incompatible_;
+    if (sealed.summary.has_value()) {
+      result.summary.emplace(std::move(*sealed.summary));
+    }
+    return result;
+  }
+
+  // Shards already durably received or lost are skipped; everything
+  // else is fetched and WAL-logged *before* the accumulator sees it (a
+  // no-op in memory). False when a storage write failed.
+  bool CollectShards(Transport& transport, size_t n_shards,
+                     AggregationResult<S>* result) {
+    if (!durable_n_shards_.has_value()) {
+      if (!Log(WalRecordType::kEpochBegin, n_shards)) return false;
       durable_n_shards_ = n_shards;
     }
     MERGEABLE_CHECK_MSG(durable_n_shards_ == n_shards,
                         "shard count does not match the durable epoch");
-
     for (uint64_t shard = 0; shard < n_shards; ++shard) {
-      if (received_.count(shard) != 0 || lost_.count(shard) != 0) {
+      ShardOutcome outcome;
+      outcome.shard_id = shard;
+      if (accumulator_.Holds(shard)) {
         // Durably recorded before this process started — not refetched;
         // that is the whole point of the log.
-        ShardOutcome outcome;
-        outcome.shard_id = shard;
-        outcome.status = received_.count(shard) != 0
+        outcome.status = accumulator_.Received(shard)
                              ? ShardOutcome::Status::kReceived
                              : ShardOutcome::Status::kLost;
-        result.outcomes.push_back(outcome);
+        result->outcomes.push_back(outcome);
         continue;
       }
-      std::optional<FetchedReport> fetched;
-      ShardOutcome outcome = FetchShard(transport, shard, &fetched);
-      AbsorbOutcome(outcome, &result);
-      result.outcomes.push_back(outcome);
-      if (fetched.has_value()) {
-        WalRecord record;
-        record.type = WalRecordType::kReport;
-        record.shard_id = shard;
-        record.epoch = epoch_;
-        record.payload = std::move(fetched->payload);
-        // Write-ahead: the report must be durable before it can affect
-        // the merged state, or a crash between the two would lose it.
-        if (!WalAppend(std::move(record))) {
-          MarkCrashed(&result);
-          return result;
-        }
-        ApplyReport(shard, std::move(fetched->summary));
-        if (options_.checkpoint_every > 0 &&
-            received_.size() % options_.checkpoint_every == 0) {
-          if (!WriteCheckpoint()) {
-            MarkCrashed(&result);
-            return result;
-          }
-        }
-      } else {
-        WalRecord record;
-        record.type = WalRecordType::kShardLost;
-        record.shard_id = shard;
-        record.epoch = epoch_;
-        if (!WalAppend(std::move(record))) {
-          MarkCrashed(&result);
-          return result;
-        }
-        lost_.insert(shard);
+      std::optional<FetchedReport> fetched = FetchShard(transport, &outcome);
+      result->retries += outcome.attempts > 0 ? outcome.attempts - 1 : 0;
+      result->duplicates_rejected += outcome.duplicates;
+      result->malformed_rejected += outcome.malformed;
+      result->elapsed_ms = std::max(result->elapsed_ms, outcome.elapsed_ms);
+      result->outcomes.push_back(outcome);
+      if (!fetched.has_value()) {
+        if (!Log(WalRecordType::kShardLost, shard)) return false;
+        accumulator_.MarkLost(shard);
+        continue;
+      }
+      // Write-ahead: the report must be durable before it can affect
+      // the merged state, or a crash between the two would lose it.
+      if (!Log(WalRecordType::kReport, shard, std::move(fetched->payload))) {
+        return false;
+      }
+      accumulator_.Add(shard, std::move(fetched->summary));
+      if (wal_.has_value() && options_.checkpoint_every > 0 &&
+          accumulator_.received() % options_.checkpoint_every == 0 &&
+          !WriteCheckpoint()) {
+        return false;
       }
     }
-
-    result.shards_received = received_.size();
-    result.incompatible_rejected = incompatible_;
-    if (merged_.has_value()) result.summary = std::move(merged_);
-    return result;
+    return true;
   }
 
-  // Runs the retry loop for one shard. On success `fetched` holds the
-  // decoded summary and its canonical payload bytes. `transport_mutex`
-  // (parallel runs) serializes the transport exchange only — decode and
-  // validation stay outside the lock. Per-shard transport state plus
-  // (seed, shard, attempt)-keyed fault decisions make the exchange
-  // results independent of the serialization order.
-  ShardOutcome FetchShard(Transport& transport, uint64_t shard,
-                          std::optional<FetchedReport>* fetched,
-                          std::mutex* transport_mutex = nullptr) {
-    ShardOutcome outcome;
-    outcome.shard_id = shard;
+  // Runs the retry loop for `outcome->shard_id`; returns the decoded
+  // summary and its canonical payload bytes once a report is accepted.
+  std::optional<FetchedReport> FetchShard(Transport& transport,
+                                          ShardOutcome* outcome) {
+    std::optional<FetchedReport> fetched;
     bool incompatible = false;
     for (uint32_t attempt = 0; attempt < policy_.max_attempts; ++attempt) {
       const uint64_t backoff = policy_.BackoffBefore(attempt);
-      if (outcome.elapsed_ms + backoff > policy_.deadline_ms) break;
-      outcome.elapsed_ms += backoff;
-      ++outcome.attempts;
-      DeliveryAttempt delivery;
-      if (transport_mutex != nullptr) {
-        std::lock_guard<std::mutex> lock(*transport_mutex);
-        delivery = transport.Deliver(shard, attempt);
-      } else {
-        delivery = transport.Deliver(shard, attempt);
-      }
-      outcome.elapsed_ms +=
+      if (outcome->elapsed_ms + backoff > policy_.deadline_ms) break;
+      outcome->elapsed_ms += backoff;
+      ++outcome->attempts;
+      DeliveryAttempt delivery = transport.Deliver(outcome->shard_id, attempt);
+      outcome->elapsed_ms +=
           std::min(delivery.latency_ms, policy_.attempt_timeout_ms);
       for (std::vector<uint8_t>& frame : delivery.frames) {
-        switch (Accept(frame, shard, fetched)) {
-          case FrameResult::kAccepted:
-            break;
-          case FrameResult::kDuplicate:
-            ++outcome.duplicates;
-            break;
-          case FrameResult::kMalformed:
-            ++outcome.malformed;
-            break;
-          case FrameResult::kIncompatible:
-            incompatible = true;
-            break;
-        }
+        Accept(frame, outcome, &fetched, &incompatible);
       }
-      if (fetched->has_value()) {
-        outcome.status = ShardOutcome::Status::kReceived;
+      if (fetched.has_value()) {
+        outcome->status = ShardOutcome::Status::kReceived;
         break;
       }
       // An intact, decodable report that fails validation is a
@@ -662,54 +447,48 @@ class Coordinator {
       // shard up immediately.
       if (incompatible) break;
     }
-    return outcome;
+    return fetched;
   }
 
-  enum class FrameResult { kAccepted, kDuplicate, kMalformed, kIncompatible };
-
-  FrameResult Accept(const std::vector<uint8_t>& frame, uint64_t shard,
-                     std::optional<FetchedReport>* fetched) {
+  // Classifies one delivered frame: accepted into `fetched`, a duplicate,
+  // malformed, or an intact report the validator refuses.
+  void Accept(std::vector<uint8_t>& frame, ShardOutcome* outcome,
+              std::optional<FetchedReport>* fetched, bool* incompatible) {
     std::optional<WireReport> report = DecodeReportFrame(frame);
-    if (!report.has_value()) return FrameResult::kMalformed;
     // A frame for another shard or epoch is a routing error, not a valid
     // report; stragglers from past epochs land here too.
-    if (report->shard_id != shard || report->epoch != epoch_) {
-      return FrameResult::kMalformed;
-    }
-    if (fetched->has_value()) return FrameResult::kDuplicate;
-    ByteReader payload(report->payload);
-    std::optional<S> summary = S::DecodeFrom(payload);
-    if (!summary.has_value() || !payload.Exhausted()) {
-      return FrameResult::kMalformed;
-    }
-    if (validate_ != nullptr && !validate_(*summary)) {
+    if (!report.has_value() || report->shard_id != outcome->shard_id ||
+        report->epoch != epoch_) {
+      ++outcome->malformed;
+    } else if (fetched->has_value()) {
+      ++outcome->duplicates;
+    } else if (std::optional<S> summary =
+                   DecodeReportPayload<S>(ByteReader(report->payload));
+               !summary.has_value()) {
+      ++outcome->malformed;
+    } else if (validate_ != nullptr && !validate_(*summary)) {
       ++incompatible_;
-      return FrameResult::kIncompatible;
+      *incompatible = true;
+    } else {
+      fetched->emplace(
+          FetchedReport{std::move(*summary), std::move(report->payload)});
     }
-    fetched->emplace(
-        FetchedReport{std::move(*summary), std::move(report->payload)});
-    return FrameResult::kAccepted;
   }
 
   uint64_t epoch_;
   BackoffPolicy policy_;
   MergeTopology topology_;
   Rng rng_;
-  CoordinatorOptions coordinator_options_;
   bool (*validate_)(const S&) = nullptr;
-  // Atomic: Accept() runs concurrently across shards in parallel runs.
-  std::atomic<uint64_t> incompatible_{0};
+  uint64_t incompatible_ = 0;
 
-  // Durable-mode state (see DESIGN.md §8). received_ / lost_ double as
-  // the per-epoch dedup and outcome sets; std::set keeps them in shard
-  // order, which is also the canonical checkpoint encoding order.
+  // The epoch's reports and lost shards (dedup, fold order, checkpoint
+  // image), plus the durable-mode state (see DESIGN.md §8).
+  EpochAccumulator<S> accumulator_;
   DurableOptions options_;
   std::optional<WalWriter> wal_;
-  std::optional<S> merged_;
-  std::set<uint64_t> received_;
-  std::set<uint64_t> lost_;
-  bool epoch_begun_ = false;
-  uint64_t durable_n_shards_ = 0;
+  // The epoch's shard count, once its begin record is logged.
+  std::optional<uint64_t> durable_n_shards_;
   uint64_t wal_append_retries_ = 0;
   uint64_t wal_append_backoff_ms_ = 0;  // Virtual backoff accumulated.
 };

@@ -1,20 +1,9 @@
-// Bounded (shard, epoch) dedup memory for ingest coordinators.
-//
-// Retries are the aggregation pipeline's answer to every transient
-// fault, and dedup is what makes retries idempotent — but naive dedup
-// remembers every key it ever admitted, so a duplicate storm (a
-// misbehaving worker resending one report forever, a retry loop gone
-// hot, stragglers from long-dead epochs) grows coordinator memory
-// without bound. DedupWindow caps that memory at a fixed number of
-// keys with FIFO eviction: the oldest admission is forgotten first,
-// which is safe for ingest because reports for old epochs are rejected
-// by the epoch check before dedup is ever consulted — the window only
-// needs to span the epochs currently in flight.
-//
-// Duplicates of a key already in the window are pure lookups: a storm
-// of them performs zero insertions and cannot grow the window at all
-// (the regression test sends one report thousands of times and asserts
-// exactly that).
+// A bounded FIFO memory of (shard, epoch) keys. No ingest path uses it
+// any more: EpochAccumulator (epoch_accumulator.h) dedups by membership
+// in the epoch's pending reports, which a FIFO window cannot do — it
+// forgets keys whose reports are still pending. It remains only for the
+// perfbench `aggregate.dedup_admit_ns` row and dedup_test, and retires
+// with them.
 
 #ifndef MERGEABLE_AGGREGATE_DEDUP_H_
 #define MERGEABLE_AGGREGATE_DEDUP_H_

@@ -2,13 +2,13 @@
 //
 // The server core (ingest_server.h) moves frames; this class gives them
 // meaning. It plays the coordinator's role on the receiving side of the
-// wire: collect one report per (shard, epoch), dedup retries through a
-// bounded window (aggregate/dedup.h), and on SealEpoch() merge the
-// epoch's accepted payloads into one summary that goes into the
-// SummaryStore — in ascending shard order, left-deep, with plain Merge,
-// the exact fold the durable coordinator performs, so a server-built
-// epoch is byte-identical to a Coordinator-built one over the same
-// reports (the server equivalence test asserts it).
+// wire: each unsealed epoch is an EpochAccumulator
+// (aggregate/epoch_accumulator.h), the same sealing core the Coordinator
+// runs, so dedup is membership (a retry of a held (shard, epoch) is a
+// duplicate; nothing else is) and SealEpoch() folds the epoch's
+// accepted reports exactly as the durable coordinator does — a
+// server-built epoch is byte-identical to a Coordinator-built one over
+// the same reports (the server equivalence test asserts it).
 //
 // Epsilon accounting closes the loop on load shedding: SealEpoch takes
 // the offered mass (what the shards sent, shed or not) and charges
@@ -42,9 +42,10 @@
 // Thread safety: HandleReport/HandleBatch/HandleQuery run on server
 // worker threads; a single mutex serializes them with SealEpoch (the
 // store's own contract requires sealing serialized with queries
-// anyway). The batch path decodes payloads before taking the mutex and
-// applies the whole batch under one acquisition — the lock amortizes
-// with batch size.
+// anyway). Both report paths decode payloads before taking the mutex
+// and run the same per-record admission under it; a batch applies all
+// its records under one acquisition — the lock amortizes with batch
+// size.
 
 #ifndef MERGEABLE_SERVER_EPOCH_SERVICE_H_
 #define MERGEABLE_SERVER_EPOCH_SERVICE_H_
@@ -59,8 +60,7 @@
 #include <utility>
 #include <vector>
 
-#include "mergeable/aggregate/coordinator.h"
-#include "mergeable/aggregate/dedup.h"
+#include "mergeable/aggregate/epoch_accumulator.h"
 #include "mergeable/aggregate/wire.h"
 #include "mergeable/server/ingest_server.h"
 #include "mergeable/store/summary_store.h"
@@ -77,7 +77,9 @@ struct EpochServiceConfig {
   // (HandleTopology) override it per epoch from their effective epoch
   // on.
   uint64_t shards_per_epoch = 4;
-  // Dedup window capacity (keys = in-flight (shard, epoch) pairs).
+  // Ignored. Dedup is membership in the epoch's pending reports, which
+  // a seal frees; the field only keeps existing configurations
+  // compiling.
   size_t dedup_capacity = 1024;
   // Virtual per-node merge cost charged against a query's deadline
   // budget; 0 disables deadline enforcement (tests crank it up to force
@@ -118,13 +120,16 @@ struct EpochServiceStats {
   // Already-admitted reports dropped because a topology change put
   // their shard id out of range for their epoch.
   uint64_t reports_dropped_topology = 0;
+  // Acknowledged reports of a lower epoch discarded unsealed because a
+  // later epoch was sealed first.
+  uint64_t reports_dropped_unsealed = 0;
 };
 
 template <WireSummary S, typename StoreT = SummaryStore<S>>
 class EpochService : public FrameHandler {
  public:
   EpochService(StoreT* store, EpochServiceConfig config)
-      : store_(store), config_(config), dedup_(config.dedup_capacity) {
+      : store_(store), config_(config) {
     MERGEABLE_CHECK_MSG(store != nullptr, "EpochService needs a store");
     MERGEABLE_CHECK_MSG(config.shards_per_epoch >= 1,
                         "EpochService needs at least one shard");
@@ -150,6 +155,7 @@ class EpochService : public FrameHandler {
     empty_summary_ = std::move(factory);
   }
 
+  // One report: the one-record case of HandleBatch's admission.
   std::vector<uint8_t> HandleReport(
       const std::vector<uint8_t>& frame) override {
     std::optional<WireReport> report = DecodeReportFrame(frame);
@@ -162,59 +168,23 @@ class EpochService : public FrameHandler {
     }
     control.shard_id = report->shard_id;
     control.epoch = report->epoch;
-
+    std::optional<S> summary =
+        DecodeReportPayload<S>(ByteReader(report->payload));
     std::lock_guard<std::mutex> lock(mu_);
-    if (report->epoch < next_epoch_ ||
-        report->shard_id >= ShardsForEpochLocked(report->epoch)) {
-      // Misrouted shard, or a straggler for an epoch already sealed —
-      // resending cannot help either one.
-      control.code = ControlCode::kRejected;
-      ++stats_.reports_rejected;
-      return EncodeControlFrame(control);
-    }
-    if (storage_degraded_) {
-      // Disk pressure: shed before dedup admission so the client's
-      // retry (post-backoff) is not misclassified as a duplicate. The
-      // shard keeps the report; its mass is only lost if the epoch
-      // seals before the disk recovers — and then it is counted lost.
-      control.code = ControlCode::kRetryAfter;
+    control.code = AdmitLocked(report->shard_id, report->epoch, summary);
+    if (control.code == ControlCode::kRetryAfter) {
       control.retry_after_ms = config_.storage_retry_after_ms;
-      ++stats_.reports_shed_storage;
-      return EncodeControlFrame(control);
     }
-    // Validate the payload decodes as this service's summary type
-    // before dedup admission: a corrupt payload acked now would abort
-    // the seal later, long after the client stopped listening — and a
-    // rejected payload must not poison its (shard, epoch) dedup key, or
-    // the shard's corrected retry would be misread as a duplicate and
-    // its mass silently lost.
-    ByteReader reader(report->payload);
-    std::optional<S> summary = S::DecodeFrom(reader);
-    if (!summary.has_value() || !reader.Exhausted()) {
-      control.code = ControlCode::kRejected;
-      ++stats_.reports_rejected;
-      return EncodeControlFrame(control);
-    }
-    if (!dedup_.Admit(report->shard_id, report->epoch)) {
-      control.code = ControlCode::kDuplicate;
-      ++stats_.reports_duplicate;
-      return EncodeControlFrame(control);
-    }
-    pending_[report->epoch].insert_or_assign(report->shard_id,
-                                             std::move(*summary));
-    control.code = ControlCode::kAccepted;
-    ++stats_.reports_accepted;
     return EncodeControlFrame(control);
   }
 
   // The batched hot path: decode and payload-validate every record
   // outside the service mutex (the expensive part — summary decoding),
-  // then apply the whole batch under one lock acquisition, so a
+  // then admit the whole batch under one lock acquisition, so a
   // 256-report batch costs one lock round instead of 256. Verdicts come
   // back per record, in record order; a duplicate batch replayed after
   // a lost verdict answers kDuplicate on every record and counts
-  // nothing twice (the dedup window is consulted exactly as the
-  // single-report path does).
+  // nothing twice.
   std::vector<uint8_t> HandleBatch(
       const std::vector<uint8_t>& frame) override {
     // Zero-copy view: every payload is decoded straight out of the
@@ -231,37 +201,18 @@ class EpochService : public FrameHandler {
     std::vector<std::optional<S>> summaries;
     summaries.reserve(records.size());
     for (const BatchRecordView& record : records) {
-      ByteReader reader(record.payload, record.payload_len);
-      std::optional<S> summary = S::DecodeFrom(reader);
-      if (summary.has_value() && !reader.Exhausted()) summary.reset();
-      summaries.push_back(std::move(summary));
+      summaries.push_back(DecodeReportPayload<S>(
+          ByteReader(record.payload, record.payload_len)));
     }
     verdict.codes.reserve(records.size());
 
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.batches_handled;
     for (size_t i = 0; i < records.size(); ++i) {
-      const BatchRecordView& record = records[i];
-      ControlCode code;
-      if (record.epoch < next_epoch_ ||
-          record.shard_id >= ShardsForEpochLocked(record.epoch)) {
-        code = ControlCode::kRejected;
-        ++stats_.reports_rejected;
-      } else if (storage_degraded_) {
-        code = ControlCode::kRetryAfter;
+      const ControlCode code =
+          AdmitLocked(records[i].shard_id, records[i].epoch, summaries[i]);
+      if (code == ControlCode::kRetryAfter) {
         verdict.retry_after_ms = config_.storage_retry_after_ms;
-        ++stats_.reports_shed_storage;
-      } else if (!summaries[i].has_value()) {
-        code = ControlCode::kRejected;
-        ++stats_.reports_rejected;
-      } else if (!dedup_.Admit(record.shard_id, record.epoch)) {
-        code = ControlCode::kDuplicate;
-        ++stats_.reports_duplicate;
-      } else {
-        pending_[record.epoch].insert_or_assign(record.shard_id,
-                                                std::move(*summaries[i]));
-        code = ControlCode::kAccepted;
-        ++stats_.reports_accepted;
       }
       verdict.codes.push_back(code);
     }
@@ -374,30 +325,28 @@ class EpochService : public FrameHandler {
     }
     topology_.insert_or_assign(topology->effective_epoch,
                                topology->shard_count);
-    // Drop admitted reports the new topology orphans. Later epochs may
-    // sit under a *different* (later) announcement, so the bound is
-    // recomputed per epoch, not taken from this frame.
-    for (auto epoch_it = pending_.lower_bound(topology->effective_epoch);
-         epoch_it != pending_.end(); ++epoch_it) {
-      const uint64_t shards = ShardsForEpochLocked(epoch_it->first);
-      auto& shard_map = epoch_it->second;
-      auto shard_it = shard_map.lower_bound(shards);
-      while (shard_it != shard_map.end()) {
-        shard_it = shard_map.erase(shard_it);
-        ++stats_.reports_dropped_topology;
-      }
+    // Drop admitted reports the new topology orphans (a later
+    // announcement that restores their shard admits them afresh). Later
+    // epochs may sit under a *different* (later) announcement, so the
+    // bound is recomputed per epoch, not taken from this frame.
+    for (auto it = pending_.lower_bound(topology->effective_epoch);
+         it != pending_.end(); ++it) {
+      stats_.reports_dropped_topology +=
+          it->second.DropFrom(ShardsForEpochLocked(it->first));
     }
     control.code = ControlCode::kAccepted;
     ++stats_.topology_accepted;
     return EncodeControlFrame(control);
   }
 
-  // Seals `epoch` into the store from whatever reports arrived:
-  // ascending shard order, left-deep merge — byte-identical
-  // to Coordinator::RunDurable over the same payloads. `offered_n` is
+  // Seals `epoch` into the store from whatever reports arrived, folded
+  // by the epoch's accumulator — byte-identical to
+  // Coordinator::RunDurable over the same payloads. `offered_n` is
   // the total mass the shards tried to send (what the chaos harness
   // knows it offered); everything that did not arrive — shed, dropped,
-  // never sent — becomes lost mass.
+  // never sent — becomes lost mass. Reports still pending for lower
+  // epochs can never seal once this one has; they are discarded and
+  // counted in reports_dropped_unsealed.
   //
   // A storage-refused seal is buffered (in epoch order) and retried at
   // the head of the next SealEpoch call; while any seal is buffered the
@@ -409,22 +358,13 @@ class EpochService : public FrameHandler {
     std::lock_guard<std::mutex> lock(mu_);
     MERGEABLE_CHECK_MSG(epoch >= next_epoch_,
                         "epochs must be sealed in order");
-    auto it = pending_.find(epoch);
-    AggregationResult<S> result;
-    result.shards_total = ShardsForEpochLocked(epoch);
-    if (it != pending_.end()) {
-      for (auto& [shard, summary] : it->second) {
-        ++result.shards_received;
-        if (result.summary.has_value()) {
-          result.summary->Merge(summary);
-        } else {
-          result.summary = std::move(summary);
-        }
-      }
+    while (!pending_.empty() && pending_.begin()->first < epoch) {
+      stats_.reports_dropped_unsealed += pending_.begin()->second.received();
+      pending_.erase(pending_.begin());
     }
-    // Epochs at or below the seal point can never be admitted again
-    // (HandleReport rejects them), so their pending state is dead.
-    pending_.erase(pending_.begin(), pending_.upper_bound(epoch));
+    AggregationResult<S> result =
+        std::move(pending_[epoch]).Seal(ShardsForEpochLocked(epoch));
+    pending_.erase(epoch);
     next_epoch_ = epoch + 1;
     GcTopologyLocked();
     if (!result.summary.has_value()) {
@@ -457,16 +397,8 @@ class EpochService : public FrameHandler {
   size_t pending_reports() const {
     std::lock_guard<std::mutex> lock(mu_);
     size_t n = 0;
-    for (const auto& [epoch, shards] : pending_) n += shards.size();
+    for (const auto& entry : pending_) n += entry.second.received();
     return n;
-  }
-  size_t dedup_size() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return dedup_.size();
-  }
-  uint64_t dedup_evictions() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return dedup_.evictions();
   }
   EpochServiceStats stats() const {
     std::lock_guard<std::mutex> lock(mu_);
@@ -493,6 +425,33 @@ class EpochService : public FrameHandler {
     AggregationResult<S> result;
     uint64_t offered_n = 0;
   };
+
+  // Per-record admission, in order: a misrouted shard or a straggler
+  // for a sealed epoch is rejected (resending cannot help either one);
+  // storage-degraded mode sheds with retry-after before the payload or
+  // dedup is consulted, so the client's retry is not misread as a
+  // duplicate (its mass is lost only if the epoch seals before the disk
+  // recovers — and then it is counted lost); an undecodable payload is
+  // rejected before it can touch the accumulator, so a corrupt report
+  // acked now cannot abort the seal later and the shard's corrected
+  // retry is not a duplicate either; last, the accumulator's membership
+  // rule decides duplicate or accepted.
+  ControlCode AdmitLocked(uint64_t shard, uint64_t epoch,
+                          std::optional<S>& summary) {
+    const bool routed =
+        epoch >= next_epoch_ && shard < ShardsForEpochLocked(epoch);
+    if (routed && storage_degraded_) {
+      ++stats_.reports_shed_storage;
+      return ControlCode::kRetryAfter;
+    }
+    if (!routed || !summary.has_value()) {
+      ++stats_.reports_rejected;
+      return ControlCode::kRejected;
+    }
+    const bool added = pending_[epoch].Add(shard, std::move(*summary));
+    ++(added ? stats_.reports_accepted : stats_.reports_duplicate);
+    return added ? ControlCode::kAccepted : ControlCode::kDuplicate;
+  }
 
   // Beyond the buffer cap, drop payloads (oldest kept intact — they
   // seal first) down to empty placeholders: the epoch keeps its slot on
@@ -579,10 +538,8 @@ class EpochService : public FrameHandler {
   EpochServiceConfig config_;
 
   mutable std::mutex mu_;
-  DedupWindow dedup_;
-  // epoch -> shard -> decoded summary (std::map: ascending shard order
-  // is the canonical merge order).
-  std::map<uint64_t, std::map<uint64_t, S>> pending_;
+  // Unsealed epochs, each collecting its accepted reports.
+  std::map<uint64_t, EpochAccumulator<S>> pending_;
   // effective_epoch -> shard count, from accepted TOP1 announcements.
   // Ordered: ShardsForEpochLocked takes the latest entry <= the epoch.
   std::map<uint64_t, uint64_t> topology_;

@@ -54,7 +54,7 @@ struct EpochMeta {
 };
 
 // The epsilon accounting a range query reports (the store-level analog
-// of aggregate/coordinator.h's ErrorAccounting, accumulated over every
+// of aggregate/epoch_accumulator.h's ErrorAccounting, accumulated over every
 // epoch the range covers).
 struct EpsilonReport {
   double epsilon = 0.0;            // Native per-summary epsilon.

@@ -48,7 +48,7 @@
 #include <utility>
 #include <vector>
 
-#include "mergeable/aggregate/coordinator.h"
+#include "mergeable/aggregate/epoch_accumulator.h"
 #include "mergeable/aggregate/storage.h"
 #include "mergeable/aggregate/summary_registry.h"
 #include "mergeable/aggregate/wire.h"

@@ -71,7 +71,6 @@ EpochServiceConfig TestService() {
   EpochServiceConfig config;
   config.stream = kStream;
   config.shards_per_epoch = kShards;
-  config.dedup_capacity = 64;
   return config;
 }
 
@@ -620,6 +619,94 @@ TEST(BatchTest, ShardedAcceptCountsEveryConnectionOnce) {
   EXPECT_EQ(server.admission_stats().admitted_batches, kClients);
   clients.clear();
   server.Stop();
+}
+
+// One admission branch: `prepare` brings a fresh service (and its
+// backing storage) into the branch's state; `probe` is the report whose
+// verdict both paths must agree on.
+struct AdmissionCase {
+  const char* name;
+  ControlCode expected;
+  void (*prepare)(EpochService<SpaceSaving>&, MemStorage&);
+  WireReport probe;
+};
+
+void AcceptShardZero(EpochService<SpaceSaving>& service, MemStorage&) {
+  service.HandleReport(EncodeReportFrame(MakeReport(0, 0)));
+}
+
+// Every per-record admission branch answers the same through
+// HandleReport and through a one-record HandleBatch, and moves the same
+// stats: the single-report path is the batch path's one-record case.
+TEST(BatchTest, SingleReportAndOneRecordBatchAdmitAlike) {
+  WireReport corrupt = MakeReport(0, 1);
+  corrupt.payload = {0xde, 0xad, 0xbe, 0xef};
+  const AdmissionCase cases[] = {
+      {"misrouted shard", ControlCode::kRejected,
+       [](EpochService<SpaceSaving>&, MemStorage&) {},
+       MakeReport(0, kShards + 2)},
+      {"straggler for a sealed epoch", ControlCode::kRejected,
+       [](EpochService<SpaceSaving>& service, MemStorage& storage) {
+         AcceptShardZero(service, storage);
+         EXPECT_TRUE(service.SealEpoch(0, 0));
+       },
+       MakeReport(0, 1)},
+      {"storage degraded", ControlCode::kRetryAfter,
+       [](EpochService<SpaceSaving>& service, MemStorage& storage) {
+         AcceptShardZero(service, storage);
+         storage.FailNextWrites(1000);
+         EXPECT_FALSE(service.SealEpoch(0, 0));
+         EXPECT_TRUE(service.storage_degraded());
+       },
+       MakeReport(1, 0)},
+      {"undecodable payload", ControlCode::kRejected,
+       [](EpochService<SpaceSaving>&, MemStorage&) {}, corrupt},
+      {"duplicate", ControlCode::kDuplicate, AcceptShardZero,
+       MakeReport(0, 0)},
+      {"accepted", ControlCode::kAccepted, AcceptShardZero,
+       MakeReport(0, 1)},
+  };
+  for (const AdmissionCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    ControlCode codes[2] = {};
+    uint64_t retry_after_ms[2] = {};
+    EpochServiceStats stats[2];
+    size_t pending[2] = {};
+    for (int batched = 0; batched < 2; ++batched) {
+      MemStorage storage;
+      SummaryStore<SpaceSaving> store(&storage, TestStore());
+      EpochService<SpaceSaving> service(&store, TestService());
+      c.prepare(service, storage);
+      if (batched == 1) {
+        WireBatch batch;
+        batch.reports.push_back(c.probe);
+        const auto verdict = DecodeBatchVerdictFrame(
+            service.HandleBatch(EncodeBatchFrame(batch)));
+        ASSERT_TRUE(verdict.has_value());
+        ASSERT_EQ(verdict->batch_code, ControlCode::kAccepted);
+        ASSERT_EQ(verdict->codes.size(), 1u);
+        codes[1] = verdict->codes[0];
+        retry_after_ms[1] = verdict->retry_after_ms;
+      } else {
+        const auto control = DecodeControlFrame(
+            service.HandleReport(EncodeReportFrame(c.probe)));
+        ASSERT_TRUE(control.has_value());
+        codes[0] = control->code;
+        retry_after_ms[0] = control->retry_after_ms;
+      }
+      stats[batched] = service.stats();
+      pending[batched] = service.pending_reports();
+    }
+    EXPECT_EQ(codes[0], c.expected);
+    EXPECT_EQ(codes[1], c.expected);
+    EXPECT_EQ(retry_after_ms[0], retry_after_ms[1]);
+    EXPECT_EQ(pending[0], pending[1]);
+    EXPECT_EQ(stats[0].reports_accepted, stats[1].reports_accepted);
+    EXPECT_EQ(stats[0].reports_duplicate, stats[1].reports_duplicate);
+    EXPECT_EQ(stats[0].reports_rejected, stats[1].reports_rejected);
+    EXPECT_EQ(stats[0].reports_shed_storage, stats[1].reports_shed_storage);
+    EXPECT_EQ(stats[1].batches_handled, stats[0].batches_handled + 1);
+  }
 }
 
 }  // namespace

@@ -69,7 +69,6 @@ struct Harness {
     EpochServiceConfig config;
     config.stream = kStream;
     config.shards_per_epoch = base_shards;
-    config.dedup_capacity = 256;
     return config;
   }
 };
@@ -219,6 +218,51 @@ TEST(RebalanceServiceTest, MidEpochShrinkDropsOrphanedReports) {
   EXPECT_EQ(answer->lost_mass, offered - surviving);
   EXPECT_DOUBLE_EQ(answer->coverage, 1.0);  // 2 of 2 expected shards.
   harness.server.Stop();
+}
+
+// A shrink followed by a regrow within one epoch: the reports the
+// shrink dropped are no longer held, so a resend is accepted (not
+// answered kDuplicate while nothing stores it) and the seal includes it.
+TEST(RebalanceServiceTest, ShrinkThenRegrowReadmitsDroppedReports) {
+  Harness harness(/*base_shards=*/4);
+  EpochService<SpaceSaving>& service = harness.service;
+  auto admit = [&](uint64_t shard) {
+    WireReport report;
+    report.shard_id = shard;
+    report.epoch = 0;
+    report.payload = EncodeSummary(ShardSummary(0, shard, 4));
+    const auto control =
+        DecodeControlFrame(service.HandleReport(EncodeReportFrame(report)));
+    EXPECT_TRUE(control.has_value());
+    return control.has_value() ? control->code : ControlCode::kRejected;
+  };
+  auto announce = [&](uint64_t from, uint64_t to) {
+    WireTopology topology;
+    topology.effective_epoch = 0;
+    topology.shard_count = to;
+    topology.ops = PlanTopologyOps(from, to);
+    const auto control = DecodeControlFrame(
+        service.HandleTopology(EncodeTopologyFrame(topology)));
+    ASSERT_TRUE(control.has_value());
+    EXPECT_EQ(control->code, ControlCode::kAccepted);
+  };
+  uint64_t offered = 0;
+  for (uint64_t shard = 0; shard < 4; ++shard) {
+    ASSERT_EQ(admit(shard), ControlCode::kAccepted);
+    offered += ShardSummary(0, shard, 4).n();
+  }
+  announce(4, 2);
+  ASSERT_EQ(service.pending_reports(), 2u);
+  announce(2, 4);
+  EXPECT_EQ(admit(2), ControlCode::kAccepted);
+  EXPECT_EQ(service.pending_reports(), 3u);
+  EXPECT_EQ(admit(2), ControlCode::kDuplicate);
+
+  ASSERT_TRUE(service.SealEpoch(0, offered));
+  const auto sealed = harness.store.QueryRangePayload(kStream, 0, 0);
+  ASSERT_TRUE(sealed.has_value());
+  EXPECT_EQ(sealed->eps.n_received, offered - ShardSummary(0, 3, 4).n());
+  EXPECT_EQ(harness.store.Metas(kStream).back().shards_received, 3u);
 }
 
 TEST(RebalanceServiceTest, SealedEpochsRefuseRedenomination) {

@@ -68,7 +68,6 @@ struct Harness {
     EpochServiceConfig config;
     config.stream = kStream;
     config.shards_per_epoch = kShards;
-    config.dedup_capacity = 64;
     return config;
   }
 };
@@ -137,31 +136,110 @@ TEST(ServerTest, DuplicateReportsAreAbsorbedOnce) {
               SendStatus::kAccepted);
   }
   harness.server.Drain();
-  EXPECT_EQ(harness.service.pending_reports(), 1u);
+  EXPECT_EQ(harness.service.pending_reports(), 1u);  // Storm inserts nothing.
   EXPECT_EQ(harness.service.stats().reports_accepted, 1u);
   EXPECT_EQ(harness.service.stats().reports_duplicate, 50u);
-  EXPECT_LE(harness.service.dedup_size(), 64u);
 }
 
+// Dedup memory is the pending reports themselves: a resend of every
+// report inserts nothing, and each seal frees its epoch, so memory
+// stays bounded by one epoch's shards however many epochs pass.
 TEST(ServerTest, DedupWindowStaysBoundedAcrossEpochs) {
+  constexpr uint64_t kEpochs = 40;
   Harness harness;
   ASSERT_TRUE(harness.server.Start());
   IngestClient client(harness.server.port());
-  for (uint64_t epoch = 0; epoch < 40; ++epoch) {
-    for (uint64_t shard = 0; shard < kShards; ++shard) {
-      WireReport report;
-      report.shard_id = shard;
-      report.epoch = epoch;
-      report.payload = EncodeSummary(ShardSummary(epoch, shard, 20));
-      ASSERT_EQ(client.SendReport(report, FastPolicy()),
-                SendStatus::kAccepted);
+  for (uint64_t epoch = 0; epoch < kEpochs; ++epoch) {
+    for (int copy = 0; copy < 2; ++copy) {
+      for (uint64_t shard = 0; shard < kShards; ++shard) {
+        WireReport report;
+        report.shard_id = shard;
+        report.epoch = epoch;
+        report.payload = EncodeSummary(ShardSummary(epoch, shard, 20));
+        ASSERT_EQ(client.SendReport(report, FastPolicy()),
+                  SendStatus::kAccepted);
+      }
     }
     harness.server.Drain();
-    harness.service.SealEpoch(epoch, 0);
+    ASSERT_EQ(harness.service.pending_reports(), kShards);
+    ASSERT_TRUE(harness.service.SealEpoch(epoch, 0));
+    ASSERT_EQ(harness.service.pending_reports(), 0u);
   }
-  // 240 distinct keys passed through a 64-key window.
-  EXPECT_LE(harness.service.dedup_size(), 64u);
-  EXPECT_GT(harness.service.dedup_evictions(), 0u);
+  EXPECT_EQ(harness.service.stats().reports_accepted, kEpochs * kShards);
+  EXPECT_EQ(harness.service.stats().reports_duplicate, kEpochs * kShards);
+}
+
+// Feeds one report frame straight to the service; returns its verdict.
+ControlCode Admit(EpochService<SpaceSaving>& service, uint64_t epoch,
+                  uint64_t shard, const SpaceSaving& summary) {
+  WireReport report;
+  report.shard_id = shard;
+  report.epoch = epoch;
+  report.payload = EncodeSummary(summary);
+  const auto control =
+      DecodeControlFrame(service.HandleReport(EncodeReportFrame(report)));
+  EXPECT_TRUE(control.has_value());
+  return control.has_value() ? control->code : ControlCode::kRejected;
+}
+
+// A resend of a report still pending is a duplicate however many other
+// keys arrived since, and it never replaces the first payload. The tiny
+// dedup_capacity would have evicted the first keys from a FIFO window;
+// it must not matter.
+TEST(ServerTest, DuplicateOfPendingReportIsNeverReaccepted) {
+  EpochServiceConfig config = Harness::DefaultService();
+  config.shards_per_epoch = 4;
+  config.dedup_capacity = 4;
+  Harness harness(ServerConfig{}, config);
+  EpochService<SpaceSaving>& service = harness.service;
+  std::vector<std::vector<uint8_t>> expected;
+  for (uint64_t epoch = 0; epoch < 2; ++epoch) {
+    std::vector<SpaceSaving> parts;
+    for (uint64_t shard = 0; shard < 4; ++shard) {
+      ASSERT_EQ(Admit(service, epoch, shard, ShardSummary(epoch, shard)),
+                ControlCode::kAccepted);
+      parts.push_back(ShardSummary(epoch, shard));
+    }
+    expected.push_back(EncodeSummary(
+        MergeAll(std::move(parts), MergeTopology::kLeftDeepChain)));
+  }
+  EXPECT_EQ(Admit(service, 0, 0, ShardSummary(0, 0)),
+            ControlCode::kDuplicate);
+  EXPECT_EQ(Admit(service, 1, 0, ShardSummary(7, 7)),  // Other bytes.
+            ControlCode::kDuplicate);
+  EXPECT_EQ(service.stats().reports_accepted, 8u);
+  EXPECT_EQ(service.stats().reports_duplicate, 2u);
+  EXPECT_EQ(service.pending_reports(), 8u);
+
+  for (uint64_t epoch = 0; epoch < 2; ++epoch) {
+    ASSERT_TRUE(service.SealEpoch(epoch, 0));
+    const auto sealed = harness.store.QueryRangePayload(kStream, epoch, epoch);
+    ASSERT_TRUE(sealed.has_value());
+    EXPECT_EQ(*sealed->payload, expected[epoch]) << "epoch " << epoch;
+  }
+}
+
+// Sealing an epoch ahead of a lower one that still holds acknowledged
+// reports discards them — they can never seal — but never silently:
+// reports_dropped_unsealed counts every one.
+TEST(ServerTest, SealingPastAnUnsealedEpochCountsItsReports) {
+  EpochServiceConfig config = Harness::DefaultService();
+  config.shards_per_epoch = 2;
+  Harness harness(ServerConfig{}, config);
+  EpochService<SpaceSaving>& service = harness.service;
+  for (uint64_t epoch = 0; epoch < 2; ++epoch) {
+    for (uint64_t shard = 0; shard < 2; ++shard) {
+      ASSERT_EQ(Admit(service, epoch, shard, ShardSummary(epoch, shard)),
+                ControlCode::kAccepted);
+    }
+  }
+  ASSERT_EQ(service.pending_reports(), 4u);
+  ASSERT_TRUE(service.SealEpoch(1, 0));
+  EXPECT_EQ(service.pending_reports(), 0u);
+  EXPECT_EQ(harness.store.BaseEpoch(kStream), 1u);
+  EXPECT_EQ(service.stats().reports_dropped_unsealed, 2u);
+  EXPECT_EQ(harness.store.Metas(kStream).back().n,
+            ShardSummary(1, 0).n() + ShardSummary(1, 1).n());
 }
 
 TEST(ServerTest, MalformedAndMisroutedReportsAreRejected) {
